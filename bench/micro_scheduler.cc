@@ -20,7 +20,7 @@ namespace {
 // Backend that completes every subtask immediately.
 class NullBackend : public CommBackend {
  public:
-  void Start(const SubCommTask&, std::function<void()> on_finish) override { on_finish(); }
+  void Start(const SubCommTask&, Callback on_finish) override { on_finish(); }
 };
 
 void BM_CoreEnqueueAndSchedule(benchmark::State& state) {

@@ -17,6 +17,12 @@
 // single-core container the barrier overhead makes sharding a slowdown, and
 // the honest numbers let a multi-core reader judge the scaling themselves.
 //
+// An allocation guard counts global operator new calls while the serial
+// reference PS job runs (its construction included) and fails the run when
+// they exceed --max-allocs-per-event per simulated event: the partition hot
+// path (Core admit, links, PS push/aggregate/pull) must stay allocation-free
+// in steady state.
+//
 // When the output file from a previous run exists (or --baseline points at
 // one), the run fails if wheel churn throughput regressed more than 10%
 // against it — this is the `ctest -L perf` regression gate.
@@ -30,6 +36,7 @@
 //        --max-regression F       allowed churn slowdown vs baseline
 //                                 (default 0.10 — the >10% regression gate)
 //        --min-wheel-vs-heap F    wheel/heap churn floor (default 0.9)
+//        --max-allocs-per-event F  allocation-guard ceiling (default 0.1)
 //        --max-idle-regression F  allowed link-churn slowdown of the
 //                                 enabled-but-idle RateModel path vs the
 //                                 static link path (default 0.03 — the
@@ -40,10 +47,13 @@
 // The gate defaults assume reasonably quiet hardware; CI on oversubscribed
 // single-core containers passes wider values (see bench/CMakeLists.txt).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,6 +67,20 @@
 #include "src/model/zoo.h"
 #include "src/obs/json_lite.h"
 #include "src/sim/simulator.h"
+
+// Global allocation counter behind the allocation guard (array forms route
+// through these by default).
+std::atomic<uint64_t> g_allocations{0};
+
+void* operator new(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace bsched {
 namespace {
@@ -97,13 +121,39 @@ struct ShardRow {
   double samples_per_sec = 0.0;  // bit-identical across shards >= 1
 };
 
-ShardRow MeasureShards(int shards) {
+// The reference PS job: VGG16 on 4x8 GPUs at 10 Gbps under ByteScheduler.
+JobConfig ReferenceJob(int shards) {
   JobConfig job = bench::WithMode(
       bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), /*num_machines=*/4, Bandwidth::Gbps(10)),
       SchedMode::kByteScheduler);
   job.warmup_iters = 1;
   job.measure_iters = 3;
   job.shards = shards;
+  return job;
+}
+
+struct AllocRow {
+  uint64_t events = 0;
+  uint64_t allocs = 0;
+  double per_event() const { return events > 0 ? static_cast<double>(allocs) / events : 0.0; }
+};
+
+// operator new calls made while the serial reference job is built and run.
+AllocRow MeasureAllocs() {
+  const JobConfig job = ReferenceJob(/*shards=*/0);
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const JobResult result = RunTrainingJob(job);
+  AllocRow row;
+  row.allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  row.events = result.sim_events;
+  std::printf("  allocation guard: %llu allocations over %llu events (%.4f per event)\n",
+              static_cast<unsigned long long>(row.allocs),
+              static_cast<unsigned long long>(row.events), row.per_event());
+  return row;
+}
+
+ShardRow MeasureShards(int shards) {
+  const JobConfig job = ReferenceJob(shards);
   const auto start = std::chrono::steady_clock::now();
   const JobResult result = RunTrainingJob(job);
   ShardRow row;
@@ -149,6 +199,7 @@ int main(int argc, char** argv) {
   const double max_regression = flags.GetDouble("max-regression", 0.10);
   const double min_wheel_vs_heap = flags.GetDouble("min-wheel-vs-heap", 0.9);
   const double max_idle_regression = flags.GetDouble("max-idle-regression", 0.03);
+  const double max_allocs_per_event = flags.GetDouble("max-allocs-per-event", 0.1);
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
 
   // Read the gate baseline before this run overwrites the file.
@@ -192,6 +243,8 @@ int main(int argc, char** argv) {
   std::printf("  link churn: static %.2fM msgs/sec, idle rate-model %.2fM (%+.1f%%)\n",
               link_static.msgs_per_sec / 1e6, link_idle.msgs_per_sec / 1e6,
               -100.0 * idle_overhead);
+
+  const AllocRow allocs = MeasureAllocs();
 
   std::vector<ShardRow> shard_rows;
   if (!skip_sweep) {
@@ -248,6 +301,13 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"idle_overhead\": %.4f,\n", idle_overhead);
   std::fprintf(out, "    \"max_idle_regression\": %.4f\n", max_idle_regression);
   std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"allocations\": {\n");
+  std::fprintf(out, "    \"workload\": \"reference_ps_job\",\n");
+  std::fprintf(out, "    \"events\": %llu,\n", static_cast<unsigned long long>(allocs.events));
+  std::fprintf(out, "    \"allocs\": %llu,\n", static_cast<unsigned long long>(allocs.allocs));
+  std::fprintf(out, "    \"allocs_per_event\": %.4f,\n", allocs.per_event());
+  std::fprintf(out, "    \"max_allocs_per_event\": %.4f\n", max_allocs_per_event);
+  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"shard_scaling\": {\n");
   std::fprintf(out, "    \"model\": \"vgg16\",\n");
   std::fprintf(out, "    \"setup\": \"mxnet_ps_tcp\",\n");
@@ -280,6 +340,13 @@ int main(int argc, char** argv) {
   // window, so each gate confirms a miss with an independent re-measure and
   // fails only when the regression survives both samples.
   int failures = 0;
+  // Deterministic count, so no confirmation re-measure.
+  if (allocs.per_event() > max_allocs_per_event) {
+    std::fprintf(stderr,
+                 "PERF GATE: reference PS job made %.4f allocations per event (ceiling %.4f)\n",
+                 allocs.per_event(), max_allocs_per_event);
+    ++failures;
+  }
   double gated_ratio = wheel_vs_heap;
   if (gated_ratio < min_wheel_vs_heap) {
     const ChurnResult w2 = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);

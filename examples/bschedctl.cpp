@@ -33,7 +33,17 @@ constexpr char kUsage[] = R"(usage: bschedctl [flags]
   --async      asynchronous PS training
   --iters      measured iterations                        (default 5)
   --trace      path to write a Chrome trace JSON
+Invalid values (non-positive --machines, --gbps, --iters or --credit-kb)
+exit with status 2.
 )";
+
+// Exit status for a well-formed command line with an invalid value.
+constexpr int kBadValue = 2;
+
+int Reject(const char* what) {
+  std::fprintf(stderr, "bschedctl: %s\n%s", what, kUsage);
+  return kBadValue;
+}
 
 Setup SetupByName(const std::string& name, bool* ok) {
   *ok = true;
@@ -73,9 +83,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --setup\n%s", kUsage);
     return 1;
   }
-  job.num_machines = static_cast<int>(flags.GetInt("machines", 4));
-  job.bandwidth = Bandwidth::Gbps(flags.GetDouble("gbps", 100));
-  job.measure_iters = static_cast<int>(flags.GetInt("iters", 5));
+  // Reject bad numbers here, before any simulator state exists; deep inside
+  // the simulator they would abort instead.
+  const int64_t machines = flags.GetInt("machines", 4);
+  const double gbps = flags.GetDouble("gbps", 100);
+  const int64_t iters = flags.GetInt("iters", 5);
+  if (machines <= 0) {
+    return Reject("--machines must be positive");
+  }
+  if (!(gbps > 0)) {
+    return Reject("--gbps must be positive");
+  }
+  if (iters <= 0) {
+    return Reject("--iters must be positive");
+  }
+  if (flags.Has("credit-kb") && flags.GetInt("credit-kb", 0) <= 0) {
+    return Reject("--credit-kb must be positive");
+  }
+  job.num_machines = static_cast<int>(machines);
+  job.bandwidth = Bandwidth::Gbps(gbps);
+  job.measure_iters = static_cast<int>(iters);
   job.ps_async = flags.GetBool("async", false);
 
   const std::string mode = flags.GetString("mode", "bytescheduler");

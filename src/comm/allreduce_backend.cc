@@ -51,7 +51,7 @@ SimTime AllReduceBackend::RingTime(Bytes bytes) const {
   return SimTime::Seconds(2.0 * (w - 1) * step_sec);
 }
 
-void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> on_finish) {
+void AllReduceBackend::Start(const SubCommTask& subtask, Callback on_finish) {
   BSCHED_CHECK(subtask.type == CommOpType::kAllReduce);
   BSCHED_CHECK(on_finish != nullptr);
   // Optional negotiation quantization: the operation is agreed upon by all
@@ -80,37 +80,39 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
                  RingTime(subtask.bytes).ToString().c_str(), config_.num_workers,
                  config_.transport.EffectiveRate(config_.link_rate).ToGbps());
   }
-  if (config_.obs != nullptr && config_.obs->tracing()) {
-    // Instrumented launch: the extra captures push this lambda past EventFn's
-    // inline buffer, so it stays a separate path — the lean lambda below is
-    // untouched when tracing is off.
-    sim_->Schedule(wait + config_.launch_overhead,
-                   [this, bytes = subtask.bytes, layer = subtask.layer,
-                    partition = subtask.partition, flow = subtask.flow,
-                    on_finish = std::move(on_finish)]() mutable {
-                     const SimTime ring_time = RingTime(bytes);
-                     ring_->Submit(ring_time, [this, bytes, layer, partition, flow, ring_time,
-                                               on_finish = std::move(on_finish)]() mutable {
-                       const SimTime end = sim_->Now();
-                       TraceRecorder* trace = config_.obs->trace();
-                       trace->AddSpan("ring",
-                                      "L" + std::to_string(layer) + ".p" +
-                                          std::to_string(partition),
-                                      end - ring_time, end,
-                                      {TraceArg::Int("bytes", bytes),
-                                       TraceArg::Int("layer", layer)});
-                       if (flow != 0) {
-                         trace->AddFlow("ring", "ring_done", end, flow, FlowPhase::kStep);
-                       }
-                       on_finish();
-                     });
-                   });
+  const uint32_t op = ops_.Acquire();
+  ops_[op] = Op{subtask.bytes, subtask.layer, subtask.partition, subtask.flow, SimTime(),
+                std::move(on_finish)};
+  sim_->Schedule(wait + config_.launch_overhead, [this, op] { Launch(op); });
+}
+
+void AllReduceBackend::Launch(uint32_t op) {
+  Op& o = ops_[op];
+  o.ring_time = RingTime(o.bytes);
+  if (config_.obs == nullptr || !config_.obs->tracing()) {
+    // The ring's own FIFO holds the completion from here on.
+    const SimTime ring_time = o.ring_time;
+    Callback on_finish = std::move(o.on_finish);
+    ops_.Release(op);
+    ring_->Submit(ring_time, std::move(on_finish));
     return;
   }
-  sim_->Schedule(wait + config_.launch_overhead,
-                 [this, bytes = subtask.bytes, on_finish = std::move(on_finish)]() mutable {
-                   ring_->Submit(RingTime(bytes), std::move(on_finish));
-                 });
+  ring_->Submit(o.ring_time, [this, op] { OnRingDone(op); });
+}
+
+void AllReduceBackend::OnRingDone(uint32_t op) {
+  Op& o = ops_[op];
+  const SimTime end = sim_->Now();
+  TraceRecorder* trace = config_.obs->trace();
+  trace->AddSpan("ring", "L" + std::to_string(o.layer) + ".p" + std::to_string(o.partition),
+                 end - o.ring_time, end,
+                 {TraceArg::Int("bytes", o.bytes), TraceArg::Int("layer", o.layer)});
+  if (o.flow != 0) {
+    trace->AddFlow("ring", "ring_done", end, o.flow, FlowPhase::kStep);
+  }
+  Callback on_finish = std::move(o.on_finish);
+  ops_.Release(op);
+  on_finish();
 }
 
 void AllReduceBackend::ExportMetrics() {

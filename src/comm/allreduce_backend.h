@@ -14,10 +14,10 @@
 #define SRC_COMM_ALLREDUCE_BACKEND_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "src/comm/backend.h"
+#include "src/common/ring_queue.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/transport.h"
 #include "src/sim/resource.h"
@@ -61,7 +61,7 @@ class AllReduceBackend : public CommBackend {
  public:
   AllReduceBackend(Simulator* sim, const AllReduceConfig& config);
 
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
+  void Start(const SubCommTask& subtask, Callback on_finish) override;
 
   // Ring time for one operation of `bytes` (excludes the launch overhead).
   SimTime RingTime(Bytes bytes) const;
@@ -75,9 +75,25 @@ class AllReduceBackend : public CommBackend {
   void ExportMetrics();
 
  private:
+  // One operation between Start and ring completion (the record outlives
+  // the launch only when tracing needs it at ring end); closures carry its
+  // slot index.
+  struct Op {
+    Bytes bytes = 0;
+    int layer = 0;
+    int partition = 0;
+    uint64_t flow = 0;
+    SimTime ring_time;
+    Callback on_finish;
+  };
+
+  void Launch(uint32_t op);
+  void OnRingDone(uint32_t op);
+
   Simulator* sim_;
   AllReduceConfig config_;
   std::unique_ptr<Resource> ring_;
+  SlotPool<Op> ops_;
   uint64_t ring_site_hash_ = 0;
 };
 

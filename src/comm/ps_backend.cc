@@ -72,9 +72,10 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
     shard_cpus_.push_back(std::make_unique<Resource>(ShardSim(s), name + ".cpu"));
   }
   slots_.resize(static_cast<size_t>(config_.num_shards));
-  pending_acks_.resize(static_cast<size_t>(config_.num_workers));
+  legs_.resize(static_cast<size_t>(config_.num_workers));
+  flushes_.resize(static_cast<size_t>(config_.num_workers));
+  pulls_ = std::vector<SlotPool<PullLeg>>(static_cast<size_t>(config_.num_workers));
   push_retransmits_.assign(static_cast<size_t>(config_.num_workers), 0);
-  push_rounds_.resize(static_cast<size_t>(config_.num_workers));
   stale_push_drops_.assign(static_cast<size_t>(config_.num_shards), 0);
   if (config_.faults != nullptr) {
     BSCHED_CHECK(config_.retry_backoff >= 1.0);
@@ -145,7 +146,16 @@ int PsBackend::ShardFor(int64_t tensor_id, int partition) const {
   return static_cast<int>((tensor_id + partition) % config_.num_shards);
 }
 
-void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finish) {
+PsBackend::SlotState& PsBackend::Slot(int shard, int64_t tensor, int partition) {
+  SlotState& slot = slots_[shard].At(tensor, partition / config_.num_shards);
+  if (slot.accepted_round.empty()) {
+    slot.accepted_round.assign(static_cast<size_t>(config_.num_workers), 0);
+    slot.arrived.assign(static_cast<size_t>(config_.num_workers + 63) / 64, 0);
+  }
+  return slot;
+}
+
+void PsBackend::Start(const SubCommTask& subtask, Callback on_finish) {
   BSCHED_CHECK(subtask.worker >= 0 && subtask.worker < config_.num_workers);
   BSCHED_CHECK(on_finish != nullptr);
   switch (subtask.type) {
@@ -160,115 +170,121 @@ void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finis
   }
 }
 
-void PsBackend::HandlePush(const SubCommTask& subtask, std::function<void()> on_finish) {
+void PsBackend::HandlePush(const SubCommTask& subtask, Callback on_finish) {
   const int shard = ShardFor(subtask.tensor_id, subtask.partition);
   const int worker = subtask.worker;
-  Simulator* wsim = WorkerSim(worker);
-  const SimTime submit = wsim->Now();
   // Aggregation round for this slot from this worker: the data leg and any
   // retransmits of it all carry this round number, letting the shard drop a
   // stale duplicate whose original also made it through. A fresh push task
   // opens a new round; a Core-level retry re-enters here with the *same*
   // task id and must stay in its round, or its duplicate copy would count
   // as a phantom arrival in the next one.
-  auto& prev = push_rounds_[worker][AckKey{subtask.tensor_id, subtask.partition}];
-  if (prev.first != subtask.task || prev.second == 0) {
-    prev.first = subtask.task;
-    ++prev.second;
+  //
+  // A Core-level retry of a push that a newer task has already superseded
+  // (the old attempt's flush was slow, its gradient had long been
+  // aggregated, and the pull it gated let the next iteration start) has no
+  // round left: it is sent as round 0, which the shard never accepts, rather
+  // than as a phantom arrival completing the newer round early.
+  PushLeg& leg = legs_[worker].At(subtask.tensor_id, subtask.partition);
+  const bool superseded = leg.round != 0 && subtask.task < leg.task;
+  if (!superseded && (leg.task != subtask.task || leg.round == 0)) {
+    leg.task = subtask.task;
+    ++leg.round;
   }
-  const uint64_t round = prev.second;
+  const uint64_t round = superseded ? 0 : leg.round;
+  flushes_[worker].push_back(
+      PushFlush{subtask, shard, round, WorkerSim(worker)->Now(), std::move(on_finish)});
+  SendPushData(PushMsg::Of(subtask, round), [this, worker] { OnPushFlushed(worker); });
+}
+
+void PsBackend::OnPushFlushed(int worker) {
+  // Sender-side completion (the stack flushed the partition): this is what
+  // returns scheduler credit, after a small completion latency. From here
+  // the data leg is the backend's responsibility; with faults enabled an
+  // ack timer guarantees it eventually reaches the shard.
+  PushFlush flush = std::move(flushes_[worker].front());
+  flushes_[worker].pop_front();
+  const SubCommTask& subtask = flush.subtask;
+  Simulator* wsim = WorkerSim(worker);
+  if (Tracing()) {
+    const std::string track = "net/worker" + std::to_string(worker) + ".up";
+    TraceRecorder* trace = config_.obs->trace();
+    trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".push", flush.submit,
+                   wsim->Now(),
+                   {TraceArg::Int("bytes", subtask.bytes), TraceArg::Int("layer", subtask.layer),
+                    TraceArg::Int("shard", flush.shard)});
+    if (subtask.flow != 0) {
+      trace->AddFlow(track, "flush", wsim->Now(), subtask.flow, FlowPhase::kStep);
+    }
+  }
+  if (config_.faults != nullptr && flush.round != 0) {
+    PushLeg& leg = legs_[worker].At(subtask.tensor_id, subtask.partition);
+    leg.layer = subtask.layer;
+    leg.msg = PushMsg::Of(subtask, flush.round);
+    ArmPushAckTimer(worker, subtask.tensor_id, subtask.partition, /*attempt=*/0);
+  }
+  // Flush notification goes to this worker's own scheduler core — a
+  // same-entity hop, so it stays a local schedule in sharded mode too.
+  wsim->Schedule(config_.control_latency, std::move(flush.on_finish));
+}
+
+void PsBackend::SendPushData(const PushMsg& msg, Callback on_flushed) {
+  // Retransmissions re-occupy the uplink (a resend spends real bandwidth)
+  // but carry no flush callback — credit was already returned. Both ride the
+  // same FIFO uplink and channel, so their flush order (and thus channel
+  // order) matches wire order.
+  const int worker = msg.worker;
+  const int shard = ShardFor(msg.tensor, msg.partition);
   uplinks_[worker]->SendCrossShard(
-      subtask.bytes, MsgScale(worker, shard),
-      /*on_flushed=*/
-      [this, subtask, shard, worker, wsim, submit, round,
-       on_finish = std::move(on_finish)]() mutable {
-        // Sender-side completion (the stack flushed the partition): this is
-        // what returns scheduler credit, after a small completion latency.
-        // From here the data leg is the backend's responsibility; with faults
-        // enabled an ack timer guarantees it eventually reaches the shard.
-        if (Tracing()) {
-          const std::string track = "net/worker" + std::to_string(worker) + ".up";
-          TraceRecorder* trace = config_.obs->trace();
-          trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".push", submit,
-                         wsim->Now(),
-                         {TraceArg::Int("bytes", subtask.bytes),
-                          TraceArg::Int("layer", subtask.layer),
-                          TraceArg::Int("shard", shard)});
-          if (subtask.flow != 0) {
-            trace->AddFlow(track, "flush", wsim->Now(), subtask.flow, FlowPhase::kStep);
-          }
-        }
-        if (config_.faults != nullptr) {
-          ArmPushAckTimer(subtask, shard, /*attempt=*/0, round);
-        }
-        // Flush notification goes to this worker's own scheduler core — a
-        // same-entity hop, so it stays a local schedule in sharded mode too.
-        wsim->Schedule(config_.control_latency, std::move(on_finish));
-      },
-      /*deliver=*/
-      [this, subtask, shard, worker, round](SimTime wire) {
+      msg.bytes, MsgScale(worker, shard), std::move(on_flushed),
+      /*deliver=*/[this, msg](SimTime wire) {
         // Store-and-forward: after the wire flight the partition serializes
         // into the shard NIC, where copies from all workers contend.
-        Forward(worker_cshard_[worker], shard_cshard_[shard],
-                Chan(kChanPushData, worker, shard), wire, [this, subtask, shard, round] {
-                  ingresses_[shard]->Send(subtask.bytes, [this, subtask, shard, round] {
-                    OnPushArrived(subtask, shard, round);
-                  });
+        const int to = ShardFor(msg.tensor, msg.partition);
+        Forward(worker_cshard_[msg.worker], shard_cshard_[to],
+                Chan(kChanPushData, msg.worker, to), wire, [this, msg] {
+                  ingresses_[ShardFor(msg.tensor, msg.partition)]->Send(
+                      msg.bytes, [this, msg] { OnPushArrived(msg); });
                 });
       });
 }
 
-void PsBackend::SendPushData(const SubCommTask& subtask, int shard, uint64_t round) {
-  // Retransmission path: re-occupies the uplink (a resend spends real
-  // bandwidth) but carries no flush callback — credit was already returned.
-  // Shares the first transmission's channel: both ride the same FIFO uplink,
-  // so their flush order (and thus channel order) matches wire order.
-  const int worker = subtask.worker;
-  uplinks_[worker]->SendCrossShard(
-      subtask.bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
-      [this, subtask, shard, worker, round](SimTime wire) {
-        Forward(worker_cshard_[worker], shard_cshard_[shard],
-                Chan(kChanPushData, worker, shard), wire, [this, subtask, shard, round] {
-                  ingresses_[shard]->Send(subtask.bytes, [this, subtask, shard, round] {
-                    OnPushArrived(subtask, shard, round);
-                  });
-                });
-      });
-}
-
-void PsBackend::ArmPushAckTimer(const SubCommTask& subtask, int shard, int attempt,
-                                uint64_t round) {
+void PsBackend::ArmPushAckTimer(int worker, int64_t tensor, int partition, int attempt) {
   // Runs on (and schedules on) the owning worker's simulator.
-  const int worker = subtask.worker;
-  const AckKey key{subtask.tensor_id, subtask.partition};
-  EventHandle& pending = pending_acks_[worker][key];
+  PushLeg& leg = legs_[worker].At(tensor, partition);
   // Supersede a stale timer left by a previous aggregation round of the same
   // (tensor, partition, worker) slot (async mode reuses keys freely).
-  pending.Cancel();
+  leg.ack.Cancel();
   double scale = 1.0;
   for (int i = 0; i < attempt; ++i) {
     scale *= config_.retry_backoff;
   }
   const SimTime timeout = SimTime(
       static_cast<int64_t>(static_cast<double>(config_.push_ack_timeout.nanos()) * scale));
-  pending = WorkerSim(worker)->Schedule(timeout, [this, subtask, shard, worker, attempt,
-                                                  round]() {
-    pending_acks_[worker].erase(AckKey{subtask.tensor_id, subtask.partition});
-    BSCHED_CHECK(attempt < config_.max_push_retries &&
-                 "push data leg exhausted its retransmit budget");
-    ++push_retransmits_[worker];
-    if (config_.faults != nullptr) {
-      config_.faults->RecordBackendRetransmit(worker, subtask.layer, subtask.partition,
-                                              attempt + 1);
-    }
-    if (!rate_ctrl_.empty()) {
-      // Loss signal: the data leg timed out, so back off this worker's
-      // uplink before spending bandwidth on the retransmit.
-      rate_ctrl_[worker]->OnLoss();
-    }
-    ArmPushAckTimer(subtask, shard, attempt + 1, round);
-    SendPushData(subtask, shard, round);
-  });
+  leg.attempt = attempt;
+  leg.ack_armed = true;
+  leg.ack = WorkerSim(worker)->Schedule(
+      timeout, [this, tensor, worker, partition] { OnPushAckTimeout(worker, tensor, partition); });
+}
+
+void PsBackend::OnPushAckTimeout(int worker, int64_t tensor, int partition) {
+  PushLeg& leg = legs_[worker].At(tensor, partition);
+  leg.ack_armed = false;
+  const int attempt = leg.attempt;
+  BSCHED_CHECK(attempt < config_.max_push_retries &&
+               "push data leg exhausted its retransmit budget");
+  ++push_retransmits_[worker];
+  if (config_.faults != nullptr) {
+    config_.faults->RecordBackendRetransmit(worker, leg.layer, partition, attempt + 1);
+  }
+  if (!rate_ctrl_.empty()) {
+    // Loss signal: the data leg timed out, so back off this worker's
+    // uplink before spending bandwidth on the retransmit.
+    rate_ctrl_[worker]->OnLoss();
+  }
+  const PushMsg msg = leg.msg;
+  ArmPushAckTimer(worker, tensor, partition, attempt + 1);
+  SendPushData(msg, nullptr);
 }
 
 SimTime PsBackend::ScaledUpdateTime(int shard, Bytes bytes) const {
@@ -301,9 +317,10 @@ void PsBackend::RecordUpdateSpan(int shard, int64_t tensor, int partition, uint6
   }
 }
 
-void PsBackend::OnPushArrived(const SubCommTask& subtask, int shard, uint64_t round) {
+void PsBackend::OnPushArrived(const PushMsg& msg) {
   // Runs on the PS shard's simulator.
-  const int worker = subtask.worker;
+  const int worker = msg.worker;
+  const int shard = ShardFor(msg.tensor, msg.partition);
   {
     // Round guard: drop a copy whose round was already counted — its ack
     // timer fired while the original was merely slow (long outage window or
@@ -311,21 +328,32 @@ void PsBackend::OnPushArrived(const SubCommTask& subtask, int shard, uint64_t ro
     // would seed the slot's *next* aggregation round with a phantom arrival.
     // Checked before the ack-cancel below: any pending timer now belongs to
     // a newer round and must keep running.
-    uint64_t& accepted =
-        slots_[shard][{subtask.tensor_id, subtask.partition}].accepted_round[worker];
-    if (round <= accepted) {
+    uint64_t& accepted = Slot(shard, msg.tensor, msg.partition).accepted_round[worker];
+    if (msg.round <= accepted) {
       ++stale_push_drops_[shard];
+      if (!Sharded() && msg.round == accepted) {
+        // The shard already holds this round. A copy of it can still carry
+        // a live ack timer — a Core-level retry of the push re-armed one
+        // after the round was accepted — which nothing else would cancel:
+        // every retransmit of it is dropped here, until the budget runs
+        // out. Settle that timer (the data is home), but only when it
+        // belongs to exactly this round.
+        PushLeg& leg = legs_[worker].At(msg.tensor, msg.partition);
+        if (leg.ack_armed && leg.msg.round == msg.round) {
+          leg.ack.Cancel();
+          leg.ack_armed = false;
+        }
+      }
       return;
     }
-    accepted = round;
+    accepted = msg.round;
   }
   if (config_.faults != nullptr) {
     if (!Sharded()) {
-      auto& acks = pending_acks_[worker];
-      auto ack = acks.find(AckKey{subtask.tensor_id, subtask.partition});
-      if (ack != acks.end()) {
-        ack->second.Cancel();
-        acks.erase(ack);
+      PushLeg& leg = legs_[worker].At(msg.tensor, msg.partition);
+      if (leg.ack_armed) {
+        leg.ack.Cancel();
+        leg.ack_armed = false;
         if (!rate_ctrl_.empty()) {
           rate_ctrl_[worker]->OnAck();
         }
@@ -335,156 +363,155 @@ void PsBackend::OnPushArrived(const SubCommTask& subtask, int shard, uint64_t ro
       // message back. It pays a control latency, so a timer may fire while
       // the ack is in flight — a spurious but deterministic retransmit, the
       // same race a real unreliable-datagram PS pays.
-      config_.coord->Post(
-          shard_cshard_[shard], worker_cshard_[worker], Chan(kChanAckCancel, shard, worker),
-          config_.control_latency,
-          [this, worker, key = AckKey{subtask.tensor_id, subtask.partition}] {
-            auto& acks = pending_acks_[worker];
-            auto it = acks.find(key);
-            if (it != acks.end()) {
-              it->second.Cancel();
-              acks.erase(it);
-              // Clean ack: recover the uplink's pacing. Runs on the worker's
-              // own shard, like the timer it cancels.
-              if (!rate_ctrl_.empty()) {
-                rate_ctrl_[worker]->OnAck();
-              }
-            }
-          });
-    }
-  }
-  if (Tracing() && subtask.flow != 0) {
-    config_.obs->trace()->AddFlow("ps/shard" + std::to_string(shard), "arrive", sim_->Now(),
-                                  subtask.flow, FlowPhase::kStep);
-  }
-  SlotState& slot = slots_[shard][{subtask.tensor_id, subtask.partition}];
-  const SimTime update_time = ScaledUpdateTime(shard, subtask.bytes);
-  if (!config_.synchronous) {
-    // Async PS: apply each worker's gradient on arrival; parameters become
-    // pullable after the first update.
-    shard_cpus_[shard]->Submit(update_time, [this, shard, tensor = subtask.tensor_id,
-                                             partition = subtask.partition,
-                                             bytes = subtask.bytes, flow = subtask.flow,
-                                             update_time] {
-      RecordUpdateSpan(shard, tensor, partition, flow, update_time);
-      SlotState& s = slots_[shard][{tensor, partition}];
-      if (!s.aggregated) {
-        s.aggregated = true;
-      }
-      auto pending = std::move(s.pending_pulls);
-      s.pending_pulls.clear();
-      for (auto& p : pending) {
-        DeliverPull(shard, p.subtask, bytes, std::move(p.on_finish));
-      }
-    });
-    return;
-  }
-  // A set, not a counter: a retransmitted copy racing its merely-delayed
-  // original must not count the same worker twice within a round.
-  slot.arrived.insert(worker);
-  if (static_cast<int>(slot.arrived.size()) < config_.num_workers) {
-    return;
-  }
-  slot.arrived.clear();
-  // All workers' gradients for this partition arrived: run the update, then
-  // release any pulls that were admitted early.
-  shard_cpus_[shard]->Submit(update_time, [this, shard, tensor = subtask.tensor_id,
-                                           partition = subtask.partition, bytes = subtask.bytes,
-                                           flow = subtask.flow, update_time] {
-    RecordUpdateSpan(shard, tensor, partition, flow, update_time);
-    SlotState& s = slots_[shard][{tensor, partition}];
-    s.aggregated = true;
-    auto pending = std::move(s.pending_pulls);
-    s.pending_pulls.clear();
-    for (auto& p : pending) {
-      DeliverPull(shard, p.subtask, bytes, std::move(p.on_finish));
-    }
-    if (listeners_.empty()) {
-      return;
-    }
-    if (!Sharded()) {
-      // Listener-major, worker-minor: matches the legacy order, where each
-      // single listener looped workers 0..N-1 internally.
-      for (const auto& listener : listeners_) {
-        for (int w = 0; w < config_.num_workers; ++w) {
-          listener(tensor, partition, w);
-        }
-      }
-      return;
-    }
-    // Sharded: the notification is a shard -> worker control message, so
-    // each worker's listeners run on that worker's own shard.
-    for (int w = 0; w < config_.num_workers; ++w) {
-      config_.coord->Post(shard_cshard_[shard], worker_cshard_[w],
-                          Chan(kChanAggNotify, shard, w), config_.control_latency,
-                          [this, tensor, partition, w] {
-                            for (const auto& listener : listeners_) {
-                              listener(tensor, partition, w);
+      config_.coord->Post(shard_cshard_[shard], worker_cshard_[worker],
+                          Chan(kChanAckCancel, shard, worker), config_.control_latency,
+                          [this, worker, tensor = msg.tensor, partition = msg.partition] {
+                            PushLeg& leg = legs_[worker].At(tensor, partition);
+                            if (leg.ack_armed) {
+                              leg.ack.Cancel();
+                              leg.ack_armed = false;
+                              // Clean ack: recover the uplink's pacing. Runs
+                              // on the worker's own shard, like the timer it
+                              // cancels.
+                              if (!rate_ctrl_.empty()) {
+                                rate_ctrl_[worker]->OnAck();
+                              }
                             }
                           });
     }
-  });
+  }
+  if (Tracing() && msg.flow != 0) {
+    config_.obs->trace()->AddFlow("ps/shard" + std::to_string(shard), "arrive", sim_->Now(),
+                                  msg.flow, FlowPhase::kStep);
+  }
+  const SimTime update_time = ScaledUpdateTime(shard, msg.bytes);
+  if (config_.synchronous) {
+    // A bitmap, not a counter: a retransmitted copy racing its
+    // merely-delayed original must not count the same worker twice within
+    // a round.
+    SlotState& slot = Slot(shard, msg.tensor, msg.partition);
+    uint64_t& word = slot.arrived[static_cast<size_t>(worker) / 64];
+    const uint64_t bit = uint64_t{1} << (worker % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++slot.arrived_count;
+    }
+    if (slot.arrived_count < config_.num_workers) {
+      return;
+    }
+    std::fill(slot.arrived.begin(), slot.arrived.end(), 0);
+    slot.arrived_count = 0;
+  }
+  // Sync: all workers' gradients for this partition arrived; run the
+  // update, then release any pulls that were admitted early. Async: apply
+  // each worker's gradient on arrival; parameters become pullable after the
+  // first update.
+  shard_cpus_[shard]->Submit(
+      update_time, [this, tensor = msg.tensor, bytes = msg.bytes, flow = msg.flow, update_time,
+                    shard, partition = msg.partition] {
+        OnUpdateDone(shard, tensor, partition, bytes, flow, update_time, config_.synchronous);
+      });
 }
 
-void PsBackend::HandlePull(const SubCommTask& subtask, std::function<void()> on_finish) {
+void PsBackend::OnUpdateDone(int shard, int64_t tensor, int partition, Bytes bytes,
+                             uint64_t flow, SimTime update_time, bool notify) {
+  RecordUpdateSpan(shard, tensor, partition, flow, update_time);
+  SlotState& slot = Slot(shard, tensor, partition);
+  slot.aggregated = true;
+  // DeliverPull only enqueues link traffic, so the slot stays put while the
+  // pending list drains.
+  for (const PendingPull& p : slot.pending_pulls) {
+    DeliverPull(shard, p.worker, p.leg, bytes);
+  }
+  slot.pending_pulls.clear();
+  if (!notify || listeners_.empty()) {
+    return;
+  }
+  if (!Sharded()) {
+    // Listener-major, worker-minor: matches the legacy order, where each
+    // single listener looped workers 0..N-1 internally.
+    for (auto& listener : listeners_) {
+      for (int w = 0; w < config_.num_workers; ++w) {
+        listener(tensor, partition, w);
+      }
+    }
+    return;
+  }
+  // Sharded: the notification is a shard -> worker control message, so
+  // each worker's listeners run on that worker's own shard.
+  for (int w = 0; w < config_.num_workers; ++w) {
+    config_.coord->Post(shard_cshard_[shard], worker_cshard_[w], Chan(kChanAggNotify, shard, w),
+                        config_.control_latency, [this, tensor, partition, w] {
+                          for (auto& listener : listeners_) {
+                            listener(tensor, partition, w);
+                          }
+                        });
+  }
+}
+
+void PsBackend::HandlePull(const SubCommTask& subtask, Callback on_finish) {
   const int shard = ShardFor(subtask.tensor_id, subtask.partition);
   const int worker = subtask.worker;
+  const uint32_t leg = pulls_[worker].Acquire();
+  pulls_[worker][leg] = PullLeg{subtask, std::move(on_finish)};
   // Pull request reaches the shard after a control-message latency (a
   // worker -> shard hop, so it crosses via Post in sharded mode).
   Forward(worker_cshard_[worker], shard_cshard_[shard], Chan(kChanPullReq, worker, shard),
           config_.control_latency,
-          [this, subtask, shard, on_finish = std::move(on_finish)]() mutable {
-            SlotState& slot = slots_[shard][{subtask.tensor_id, subtask.partition}];
+          [this, tensor = subtask.tensor_id, bytes = subtask.bytes, worker, leg,
+           partition = subtask.partition] {
+            const int at = ShardFor(tensor, partition);
+            SlotState& slot = Slot(at, tensor, partition);
             if (!slot.aggregated) {
-              slot.pending_pulls.push_back(PendingPull{subtask, std::move(on_finish)});
+              slot.pending_pulls.push_back(PendingPull{worker, leg});
               return;
             }
-            DeliverPull(shard, subtask, subtask.bytes, std::move(on_finish));
+            DeliverPull(at, worker, leg, bytes);
           });
 }
 
-void PsBackend::DeliverPull(int shard, const SubCommTask& subtask, Bytes bytes,
-                            std::function<void()> on_finish) {
-  // Runs on the PS shard's simulator.
-  const int worker = subtask.worker;
-  if (Tracing()) {
-    // Wrap the completion so the downlink span and the flow hop are stamped
-    // at actual delivery time (after egress + downlink serialization).
-    const SimTime submit = sim_->Now();
-    on_finish = [this, subtask, bytes, submit, on_finish = std::move(on_finish)]() mutable {
-      const std::string track = "net/worker" + std::to_string(subtask.worker) + ".down";
-      TraceRecorder* trace = config_.obs->trace();
-      trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".pull", submit,
-                     sim_->Now(), {TraceArg::Int("bytes", bytes)});
-      if (subtask.flow != 0) {
-        trace->AddFlow(track, "deliver", sim_->Now(), subtask.flow, FlowPhase::kStep);
-      }
-      on_finish();
-    };
-  }
+void PsBackend::DeliverPull(int shard, int worker, uint32_t leg, Bytes bytes) {
+  // Runs on the PS shard's simulator. With tracing, the downlink span and
+  // the flow hop are stamped at actual delivery time (after egress +
+  // downlink serialization); tracing is serial-only, so sim_ is the clock.
+  const SimTime submit = Tracing() ? sim_->Now() : SimTime();
   egresses_[shard]->SendCrossShard(
       bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
-      [this, shard, worker, bytes, on_finish = std::move(on_finish)](SimTime wire) mutable {
-        Forward(shard_cshard_[shard], worker_cshard_[worker],
-                Chan(kChanPullData, shard, worker), wire,
-                [this, worker, bytes, on_finish = std::move(on_finish)]() mutable {
-                  downlinks_[worker]->Send(bytes, std::move(on_finish));
+      [this, bytes, submit, shard, worker, leg](SimTime wire) {
+        Forward(shard_cshard_[shard], worker_cshard_[worker], Chan(kChanPullData, shard, worker),
+                wire, [this, bytes, submit, worker, leg] {
+                  downlinks_[worker]->Send(bytes, [this, bytes, submit, worker, leg] {
+                    FinishPull(worker, leg, bytes, submit);
+                  });
                 });
       });
 }
 
+void PsBackend::FinishPull(int worker, uint32_t leg, Bytes bytes, SimTime submit) {
+  // Runs on the worker's simulator.
+  PullLeg& pull = pulls_[worker][leg];
+  if (Tracing()) {
+    const SubCommTask& subtask = pull.subtask;
+    const std::string track = "net/worker" + std::to_string(worker) + ".down";
+    TraceRecorder* trace = config_.obs->trace();
+    trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".pull", submit,
+                   sim_->Now(), {TraceArg::Int("bytes", bytes)});
+    if (subtask.flow != 0) {
+      trace->AddFlow(track, "deliver", sim_->Now(), subtask.flow, FlowPhase::kStep);
+    }
+  }
+  Callback on_finish = std::move(pull.on_finish);
+  pulls_[worker].Release(leg);
+  on_finish();
+}
+
 void PsBackend::ResetAggregationState() {
   for (auto& shard_slots : slots_) {
-    shard_slots.clear();
+    shard_slots.Clear();
   }
-  for (auto& worker_acks : pending_acks_) {
-    for (auto& [key, handle] : worker_acks) {
-      handle.Cancel();
-    }
-    worker_acks.clear();
-  }
-  for (auto& worker_rounds : push_rounds_) {
-    worker_rounds.clear();
+  for (auto& worker_legs : legs_) {
+    worker_legs.ForEach([](const PushLeg& leg) { EventHandle(leg.ack).Cancel(); });
+    worker_legs.Clear();
   }
 }
 
@@ -540,19 +567,19 @@ std::string PsBackend::DebugString() const {
   int pending_pulls = 0;
   int waiting_slots = 0;
   for (const auto& shard_slots : slots_) {
-    for (const auto& [key, slot] : shard_slots) {
+    shard_slots.ForEach([&](const SlotState& slot) {
       pending_pulls += static_cast<int>(slot.pending_pulls.size());
-      if (!slot.arrived.empty()) {
+      if (slot.arrived_count > 0) {
         ++waiting_slots;
       }
-    }
+    });
   }
   std::string out = "ps pending_pulls=" + std::to_string(pending_pulls) +
                     " slots_awaiting_arrivals=" + std::to_string(waiting_slots);
   if (config_.faults != nullptr) {
     size_t unacked = 0;
-    for (const auto& worker_acks : pending_acks_) {
-      unacked += worker_acks.size();
+    for (const auto& worker_legs : legs_) {
+      worker_legs.ForEach([&](const PushLeg& leg) { unacked += leg.ack_armed ? 1 : 0; });
     }
     out += " unacked_pushes=" + std::to_string(unacked) +
            " retransmits=" + std::to_string(push_retransmits());

@@ -27,19 +27,27 @@
 // surviving into the next round can make that worker's arrival count early —
 // a semantic staleness real async PS systems also accept — but never lose or
 // double-aggregate a round.) Control messages are assumed reliable.
+//
+// Hot-path layout: all per-partition state is dense. Aggregation slots live
+// per owning PS shard, push legs (round + ack timer) per worker, both in
+// TensorTables indexed by [tensor][partition]; arrivals are a per-slot worker
+// bitmap plus a count. Callbacks ride in the entities that own them — push
+// completions in a per-worker FIFO that mirrors the uplink's flush order,
+// pull completions in a per-worker slot pool — so every closure crossing a
+// link or the event queue carries only `this` plus a compact message and
+// fits the inline callback buffer.
 #ifndef SRC_COMM_PS_BACKEND_H_
 #define SRC_COMM_PS_BACKEND_H_
 
-#include <functional>
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/common/inline_fn.h"
+#include "src/common/ring_queue.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/link.h"
 #include "src/net/net_dynamics.h"
@@ -103,13 +111,50 @@ struct PsConfig {
   ShardCoordinator* coord = nullptr;
 };
 
+// Dense (tensor, index) -> T table, grown on first use. Tensor ids are small
+// within a job, but co-scheduled jobs offset theirs by a large stride, so an
+// id splits into a page (high bits) and a row within it; every level grows
+// only as far as the ids actually touched. At() may grow the row of `tensor`
+// and so invalidates references into that row.
+template <typename T>
+class TensorTable {
+ public:
+  T& At(int64_t tensor, int index) {
+    const size_t page = static_cast<size_t>(tensor) >> kPageBits;
+    const size_t row = static_cast<size_t>(tensor) & ((size_t{1} << kPageBits) - 1);
+    if (page >= pages_.size()) pages_.resize(page + 1);
+    std::vector<std::vector<T>>& rows = pages_[page];
+    if (row >= rows.size()) rows.resize(row + 1);
+    std::vector<T>& cols = rows[row];
+    if (static_cast<size_t>(index) >= cols.size()) cols.resize(static_cast<size_t>(index) + 1);
+    return cols[static_cast<size_t>(index)];
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& rows : pages_) {
+      for (const auto& cols : rows) {
+        for (const T& entry : cols) fn(entry);
+      }
+    }
+  }
+
+  void Clear() { pages_.clear(); }
+
+ private:
+  static constexpr int kPageBits = 12;
+  std::vector<std::vector<std::vector<T>>> pages_;
+};
+
 class PsBackend : public CommBackend {
  public:
+  using AggregationListener = InlineFn<void(int64_t tensor_id, int partition, int worker)>;
+
   // `sim` hosts every entity in serial mode; it must be null when
   // config.coord is set (entities then live on the coordinator's shards).
   PsBackend(Simulator* sim, const PsConfig& config);
 
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
+  void Start(const SubCommTask& subtask, Callback on_finish) override;
 
   // Clears per-partition aggregation state; call between independent jobs.
   void ResetAggregationState();
@@ -127,10 +172,7 @@ class PsBackend : public CommBackend {
   // The worker-indexed signature is what lets sharded mode deliver each
   // worker's notification on that worker's own shard; serial mode invokes
   // workers 0..N-1 synchronously at aggregation time, as before.
-  void AddAggregationListener(
-      std::function<void(int64_t tensor_id, int partition, int worker)> fn) {
-    listeners_.push_back(std::move(fn));
-  }
+  void AddAggregationListener(AggregationListener fn) { listeners_.push_back(std::move(fn)); }
 
   const PsConfig& config() const { return config_; }
 
@@ -180,18 +222,69 @@ class PsBackend : public CommBackend {
   void ExportMetrics();
 
  private:
-  // A pull admitted before its slot aggregated; replayed on aggregation.
-  // Carries the full subtask so the replayed delivery keeps its flow id.
-  struct PendingPull {
-    SubCommTask subtask;
-    std::function<void()> on_finish;
+  // One push data leg (first transmission or retransmit) on its way from a
+  // worker to the partition's shard. Compact enough that a closure carrying
+  // it plus `this` fits the inline callback buffer; the shard is
+  // ShardFor(tensor, partition).
+  struct PushMsg {
+    int64_t tensor = 0;
+    uint64_t round = 0;
+    uint64_t flow = 0;
+    Bytes bytes = 0;
+    int32_t worker = 0;
+    int32_t partition = 0;
+
+    static PushMsg Of(const SubCommTask& subtask, uint64_t round) {
+      return PushMsg{subtask.tensor_id, round,          subtask.flow,
+                     subtask.bytes,     subtask.worker, subtask.partition};
+    }
   };
 
-  // Aggregation state for one (layer, partition) slot on its shard.
+  // A push waiting for its uplink flush, in the uplink's FIFO order.
+  struct PushFlush {
+    SubCommTask subtask;
+    int shard = 0;
+    uint64_t round = 0;
+    SimTime submit;
+    Callback on_finish;
+  };
+
+  // Sender-side state of one (worker, tensor, partition) push slot.
+  struct PushLeg {
+    // Last push task id and its round. A new task id is a new aggregation
+    // round; a repeated id is a Core-level retry of the same push, which
+    // re-enters HandlePush but must keep its original round so the shard can
+    // recognise duplicate copies. The round rides the data leg and all its
+    // retransmits and is checked against SlotState::accepted_round.
+    CommTaskId task = kInvalidCommTask;
+    uint64_t round = 0;
+    // Ack timer of the latest armed data leg (faults enabled only).
+    bool ack_armed = false;
+    int attempt = 0;
+    int layer = 0;
+    PushMsg msg;
+    EventHandle ack;
+  };
+
+  // A pull between admission and delivery; slots are per worker.
+  struct PullLeg {
+    SubCommTask subtask;
+    Callback on_finish;
+  };
+
+  // A pull admitted before its slot aggregated; replayed on aggregation.
+  struct PendingPull {
+    int worker = 0;
+    uint32_t leg = 0;
+  };
+
+  // Aggregation state for one (tensor, partition) slot on its shard.
   struct SlotState {
-    // Workers whose gradient copy arrived this aggregation round; a set (not
-    // a count) so retransmitted duplicates cannot inflate the round.
-    std::set<int> arrived;
+    // Workers whose gradient copy arrived this aggregation round; a bitmap
+    // (not a bare count) so retransmitted duplicates cannot inflate the
+    // round.
+    std::vector<uint64_t> arrived;
+    int arrived_count = 0;
     bool aggregated = false;
     // Highest push round accepted per worker. Every data leg carries its
     // sender-side round number; a copy at or below the accepted round is a
@@ -199,12 +292,10 @@ class PsBackend : public CommBackend {
     // merely slow (a long outage or a heavily derated volatile link), both
     // copies arrived, and counting the second would pollute the *next*
     // aggregation round for this slot.
-    std::map<int, uint64_t> accepted_round;
+    std::vector<uint64_t> accepted_round;
     // Pull deliveries admitted before aggregation completed.
     std::vector<PendingPull> pending_pulls;
   };
-
-  using AckKey = std::pair<int64_t, int>;  // (tensor, partition); maps are per worker
 
   bool Tracing() const;
   bool Sharded() const { return config_.coord != nullptr; }
@@ -220,15 +311,27 @@ class PsBackend : public CommBackend {
   void RecordUpdateSpan(int shard, int64_t tensor, int partition, uint64_t flow,
                         SimTime update_time);
   int ShardFor(int64_t tensor_id, int partition) const;
-  void HandlePush(const SubCommTask& subtask, std::function<void()> on_finish);
-  void HandlePull(const SubCommTask& subtask, std::function<void()> on_finish);
-  void OnPushArrived(const SubCommTask& subtask, int shard, uint64_t round);
+  // The slot of (tensor, partition) on its owning shard. A shard holds
+  // every num_shards-th partition of a tensor (see ShardFor), so the column
+  // is partition / num_shards.
+  SlotState& Slot(int shard, int64_t tensor, int partition);
+  void HandlePush(const SubCommTask& subtask, Callback on_finish);
+  void HandlePull(const SubCommTask& subtask, Callback on_finish);
+  void OnPushFlushed(int worker);
+  void OnPushArrived(const PushMsg& msg);
+  // Runs the update for an aggregated (or, async, arrived) slot on the
+  // shard CPU, then releases pending pulls and (sync) notifies listeners.
+  void OnUpdateDone(int shard, int64_t tensor, int partition, Bytes bytes, uint64_t flow,
+                    SimTime update_time, bool notify);
   // `bytes` is the delivered payload size: the pull's own size on the direct
   // path, the aggregating push's size when replayed from pending_pulls.
-  void DeliverPull(int shard, const SubCommTask& subtask, Bytes bytes,
-                   std::function<void()> on_finish);
-  void SendPushData(const SubCommTask& subtask, int shard, uint64_t round);
-  void ArmPushAckTimer(const SubCommTask& subtask, int shard, int attempt, uint64_t round);
+  void DeliverPull(int shard, int worker, uint32_t leg, Bytes bytes);
+  void FinishPull(int worker, uint32_t leg, Bytes bytes, SimTime submit);
+  // Sends one data leg on the worker uplink; on_flushed is set for the
+  // first transmission only (retransmits return no credit).
+  void SendPushData(const PushMsg& msg, Callback on_flushed);
+  void ArmPushAckTimer(int worker, int64_t tensor, int partition, int attempt);
+  void OnPushAckTimeout(int worker, int64_t tensor, int partition);
   // Pacing multiplier for one worker<->shard transfer (1.0 without the
   // two-tier topology; 1/oversubscription across racks). Applied on the
   // sender-side link, where the per-message overhead is paid.
@@ -255,20 +358,18 @@ class PsBackend : public CommBackend {
   std::vector<std::unique_ptr<Link>> egresses_;    // shard -> network
   std::vector<std::unique_ptr<Resource>> shard_cpus_;
   // Aggregation state, partitioned by owning PS shard (only that shard's
-  // simulator touches its map, which is what makes sharded mode race-free).
-  std::vector<std::map<std::pair<int64_t, int>, SlotState>> slots_;
-  std::vector<std::function<void(int64_t tensor_id, int partition, int worker)>> listeners_;
-  // Un-acked push data legs awaiting shard arrival (faults enabled only);
-  // partitioned by worker, whose simulator owns the timers.
-  std::vector<std::map<AckKey, EventHandle>> pending_acks_;
+  // simulator touches its table, which is what makes sharded mode
+  // race-free).
+  std::vector<TensorTable<SlotState>> slots_;
+  std::vector<AggregationListener> listeners_;
+  // Push rounds and un-acked data legs, partitioned by worker, whose
+  // simulator owns the timers.
+  std::vector<TensorTable<PushLeg>> legs_;
+  // Pushes awaiting their uplink flush, per worker, in send order.
+  std::vector<RingQueue<PushFlush>> flushes_;
+  // Pulls in flight, per worker; closures carry the slot index.
+  std::vector<SlotPool<PullLeg>> pulls_;
   std::vector<uint64_t> push_retransmits_;  // per worker
-  // Sender-side push round per (tensor, partition): (last push task id,
-  // round). A new task id is a new aggregation round; a repeated id is a
-  // Core-level retry of the same push, which re-enters HandlePush but must
-  // keep its original round so the shard can recognise duplicate copies.
-  // The round rides the data leg and all its retransmits and is checked
-  // against SlotState::accepted_round at the shard. Partitioned by worker.
-  std::vector<std::map<AckKey, std::pair<CommTaskId, uint64_t>>> push_rounds_;
   std::vector<uint64_t> stale_push_drops_;  // per shard
   // Per-worker AIMD controllers on the uplinks (empty unless dynamics with
   // aimd.enable); each runs on its worker's simulator.

@@ -32,9 +32,9 @@ struct CommTaskDesc {
   // Scheduling worker (each PS worker runs its own Core; all-reduce runs one
   // master Core as in §5 "only the master Core determines the order").
   int worker = 0;
-  // DNN layer index; layer 0 is nearest the input. This is the priority for
-  // declarative engines (topological order) and equals the creation order
-  // tie-break for imperative engines (§3.2).
+  // DNN layer index (non-negative); layer 0 is nearest the input. This is
+  // the priority for declarative engines (topological order) and equals the
+  // creation order tie-break for imperative engines (§3.2).
   int layer = 0;
   Bytes tensor_bytes = 0;
   CommOpType type = CommOpType::kPush;

@@ -1,6 +1,7 @@
 #include "src/core/scheduler_core.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/common/check.h"
@@ -39,36 +40,59 @@ SchedulerCore::SchedulerCore(SchedulerConfig config, CommBackend* backend, int w
 
 CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   BSCHED_CHECK(desc.tensor_bytes > 0);
+  // Reclaim finished tasks at the window's front; their slots' partition
+  // vectors are dropped with them.
+  while (!tasks_.empty() && !tasks_.front().live) {
+    tasks_.pop_front();
+    ++first_task_;
+  }
   const CommTaskId id = next_task_id_++;
-  TaskState state;
+  TaskState& state = tasks_.emplace_back();
+  BSCHED_DCHECK(id - first_task_ == static_cast<CommTaskId>(tasks_.size()) - 1);
+  state.live = true;
+  ++live_tasks_;
 
   // CommTask.partition(size): split into SubCommTasks no larger than the
   // configured partition size (zero-copy in real frameworks; here we only
   // track sizes).
   const Bytes unit = desc.partition_bytes_override > 0 ? desc.partition_bytes_override
                                                        : config_.partition_bytes;
-  if (unit <= 0 || unit >= desc.tensor_bytes) {
-    state.partition_bytes.push_back(desc.tensor_bytes);
-  } else {
-    Bytes remaining = desc.tensor_bytes;
-    while (remaining > 0) {
-      const Bytes piece = std::min(unit, remaining);
-      state.partition_bytes.push_back(piece);
-      remaining -= piece;
-    }
+  const bool split = unit > 0 && unit < desc.tensor_bytes;
+  state.unit = split ? unit : desc.tensor_bytes;
+  const size_t parts = static_cast<size_t>((desc.tensor_bytes + state.unit - 1) / state.unit);
+  state.charged.assign(parts, TaskState::kNotReady);
+  if (obs_ != nullptr && obs_->tracing()) {
+    state.flows.resize(parts);
   }
-  state.partition_notified.assign(state.partition_bytes.size(), false);
+  if (recovery_enabled()) {
+    state.watches.resize(parts);
+  }
   state.desc = std::move(desc);
-  tasks_.emplace(id, std::move(state));
   return id;
 }
 
+SchedulerCore::TaskState* SchedulerCore::FindTask(CommTaskId id) {
+  if (id < first_task_ || id >= next_task_id_) {
+    return nullptr;
+  }
+  TaskState& state = tasks_[static_cast<size_t>(id - first_task_)];
+  return state.live ? &state : nullptr;
+}
+
+const SchedulerCore::TaskState* SchedulerCore::FindTask(CommTaskId id) const {
+  return const_cast<SchedulerCore*>(this)->FindTask(id);
+}
+
+SchedulerCore::TaskState& SchedulerCore::LiveTask(CommTaskId id) {
+  TaskState* state = FindTask(id);
+  BSCHED_CHECK(state != nullptr);
+  return *state;
+}
+
 void SchedulerCore::NotifyReady(CommTaskId id) {
-  auto it = tasks_.find(id);
-  BSCHED_CHECK(it != tasks_.end());
-  TaskState& state = it->second;
-  for (int p = 0; p < static_cast<int>(state.partition_bytes.size()); ++p) {
-    if (!state.partition_notified[p]) {
+  TaskState& state = LiveTask(id);
+  for (int p = 0; p < state.num_parts(); ++p) {
+    if (state.charged[p] == TaskState::kNotReady) {
       EnqueueReady(state, id, p);
     }
   }
@@ -76,21 +100,19 @@ void SchedulerCore::NotifyReady(CommTaskId id) {
 }
 
 void SchedulerCore::NotifyReadyPartition(CommTaskId id, int partition) {
-  auto it = tasks_.find(id);
-  BSCHED_CHECK(it != tasks_.end());
-  TaskState& state = it->second;
+  TaskState& state = LiveTask(id);
   BSCHED_CHECK(partition >= 0);
-  BSCHED_CHECK(partition < static_cast<int>(state.partition_bytes.size()));
-  if (!state.partition_notified[partition]) {
+  BSCHED_CHECK(partition < state.num_parts());
+  if (state.charged[partition] == TaskState::kNotReady) {
     EnqueueReady(state, id, partition);
   }
   TrySchedule();
 }
 
 int SchedulerCore::NumPartitions(CommTaskId id) const {
-  auto it = tasks_.find(id);
-  BSCHED_CHECK(it != tasks_.end());
-  return static_cast<int>(it->second.partition_bytes.size());
+  const TaskState* state = FindTask(id);
+  BSCHED_CHECK(state != nullptr);
+  return state->num_parts();
 }
 
 SubTaskKey SchedulerCore::KeyFor(const SubCommTask& subtask) {
@@ -106,22 +128,68 @@ SubTaskKey SchedulerCore::KeyFor(const SubCommTask& subtask) {
   return key;
 }
 
-void SchedulerCore::EnqueueReady(TaskState& state, CommTaskId id, int partition) {
-  state.partition_notified[partition] = true;
+namespace {
+
+// Position of a key's (layer, type_rank) in the rank order; layer-major, so
+// comparing ranks then arrival_seq is exactly SubTaskKey's order.
+size_t RankOf(const SubTaskKey& key) {
+  BSCHED_DCHECK(key.layer >= 0 && (key.type_rank == 0 || key.type_rank == 1));
+  return 2 * static_cast<size_t>(key.layer) + static_cast<size_t>(key.type_rank);
+}
+
+}  // namespace
+
+void SchedulerCore::PushReady(QueuedSubTask entry) {
+  BSCHED_CHECK(entry.key.layer >= 0);
+  const size_t rank = RankOf(entry.key);
+  if (rank >= ranks_.size()) {
+    ranks_.resize(rank + 1);
+    nonempty_ranks_.resize(rank / 64 + 1, 0);
+  }
+  const uint64_t seq = entry.key.arrival_seq;
+  const uint32_t slot = queued_.Acquire();
+  queued_[slot] = std::move(entry);
+  RingQueue<uint32_t>& fifo = ranks_[rank];
+  size_t pos = fifo.size();
+  while (pos > 0 && queued_[fifo[pos - 1]].key.arrival_seq > seq) {
+    --pos;  // a requeued retry: slot it back in arrival order
+  }
+  fifo.Insert(pos, slot);
+  nonempty_ranks_[rank / 64] |= uint64_t{1} << (rank % 64);
+}
+
+uint32_t SchedulerCore::HeadSlot() const {
+  size_t word = 0;
+  while (nonempty_ranks_[word] == 0) {
+    ++word;
+  }
+  const size_t rank = 64 * word + static_cast<size_t>(std::countr_zero(nonempty_ranks_[word]));
+  return ranks_[rank].front();
+}
+
+SubCommTask SchedulerCore::MakeSubTask(const TaskState& state, CommTaskId id,
+                                       int partition) const {
   SubCommTask subtask;
   subtask.task = id;
   subtask.worker = state.desc.worker;
   subtask.layer = state.desc.layer;
-  subtask.tensor_id =
-      state.desc.tensor_id >= 0 ? state.desc.tensor_id : state.desc.layer;
+  subtask.tensor_id = state.desc.tensor_id >= 0 ? state.desc.tensor_id : state.desc.layer;
   subtask.partition = partition;
-  subtask.bytes = state.partition_bytes[partition];
+  subtask.bytes = state.PartBytes(partition);
   subtask.type = state.desc.type;
-  QueuedSubTask entry{subtask, 0};
+  subtask.flow = state.flows.empty() ? 0 : state.flows[partition];
+  return subtask;
+}
+
+void SchedulerCore::EnqueueReady(TaskState& state, CommTaskId id, int partition) {
+  state.charged[partition] = 0;
+  QueuedSubTask entry;
+  entry.subtask = MakeSubTask(state, id, partition);
   if (sim_ != nullptr) {
     entry.ready_at = sim_->Now();
   }
-  queue_.emplace(KeyFor(subtask), std::move(entry));
+  entry.key = KeyFor(entry.subtask);
+  PushReady(std::move(entry));
 }
 
 void SchedulerCore::TrySchedule() {
@@ -131,47 +199,52 @@ void SchedulerCore::TrySchedule() {
     return;
   }
   scheduling_ = true;
-  while (!queue_.empty()) {
-    const SubCommTask& head = queue_.begin()->second.subtask;
+  while (queued_.live() > 0) {
+    const uint32_t head_slot = HeadSlot();
+    QueuedSubTask& head = queued_[head_slot];
     // Credits model the *sender's* buffer (§4.2): pushes and all-reduce
     // operations fill it; pull responses are sent by the server and consume
     // the server-side egress queue instead, so they admit freely.
-    const bool charges_credit = head.type != CommOpType::kPull;
+    const bool charges_credit = head.subtask.type != CommOpType::kPull;
     // Algorithm 1 line 16: wait unless the credit covers the head subtask.
     // A subtask larger than the whole credit pool is admitted only when the
     // pool is full, otherwise it could never start.
-    const bool can_start =
-        !charges_credit || credit_ >= head.bytes || credit_ == config_.credit_bytes;
+    const bool can_start = !charges_credit || credit_ >= head.subtask.bytes ||
+                           credit_ == config_.credit_bytes;
     if (!can_start) {
       // Stamp the moment the head first starved on credit; RecordAdmit
       // splits the wait span there. No event is scheduled, so the
       // simulation trajectory is unchanged whether or not anyone traces.
-      QueuedSubTask& blocked = queue_.begin()->second;
-      if (!blocked.credit_waiting && sim_ != nullptr) {
-        blocked.credit_waiting = true;
-        blocked.credit_wait_since = sim_->Now();
+      if (!head.credit_waiting && sim_ != nullptr) {
+        head.credit_waiting = true;
+        head.credit_wait_since = sim_->Now();
       }
       break;
     }
-    const SubTaskKey key = queue_.begin()->first;
-    QueuedSubTask entry = std::move(queue_.begin()->second);
-    const size_t depth_before = queue_.size();
-    queue_.erase(queue_.begin());
+    const size_t depth_before = queued_.live();
+    const size_t rank = RankOf(head.key);
+    ranks_[rank].pop_front();
+    if (ranks_[rank].empty()) {
+      nonempty_ranks_[rank / 64] &= ~(uint64_t{1} << (rank % 64));
+    }
+    QueuedSubTask entry = std::move(head);
+    queued_.Release(head_slot);
     const Bytes charged = charges_credit ? std::min(entry.subtask.bytes, credit_) : 0;
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
     ++subtasks_started_;
     if (obs_ != nullptr) {
-      RecordAdmit(entry, key, charged, depth_before);
+      RecordAdmit(entry, charged, depth_before);
     }
-    StartAttempt(entry.subtask, key, charged, entry.attempts);
+    StartAttempt(entry.subtask, entry.key, charged, entry.attempts);
   }
   scheduling_ = false;
 }
 
-void SchedulerCore::RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Bytes charged,
+void SchedulerCore::RecordAdmit(QueuedSubTask& entry, Bytes charged,
                                 size_t queue_depth_before) {
   SubCommTask& st = entry.subtask;
+  const SubTaskKey& key = entry.key;
   if (m_queue_depth_ != nullptr) {
     m_queue_depth_->Observe(static_cast<int64_t>(queue_depth_before));
     m_credit_in_use_->Observe(config_.credit_bytes == SchedulerConfig::kUnlimited
@@ -209,11 +282,10 @@ void SchedulerCore::RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Byt
     }
   }
 
-  auto task_it = tasks_.find(st.task);
-  const std::string& tensor =
-      task_it != tasks_.end() && !task_it->second.desc.name.empty()
-          ? task_it->second.desc.name
-          : "L" + std::to_string(st.layer);
+  const TaskState* task = FindTask(st.task);
+  const std::string& tensor = task != nullptr && !task->desc.name.empty()
+                                  ? task->desc.name
+                                  : "L" + std::to_string(st.layer);
   const std::string base =
       tensor + ".p" + std::to_string(st.partition) + "." + ToString(st.type);
   const SimTime now = sim_->Now();
@@ -248,33 +320,35 @@ SimTime SchedulerCore::AttemptTimeout(int attempts) const {
 
 void SchedulerCore::StartAttempt(const SubCommTask& subtask, const SubTaskKey& key, Bytes charged,
                                  int attempts) {
+  const CommTaskId task = subtask.task;
+  const int partition = subtask.partition;
+  TaskState& state = LiveTask(task);
+  state.charged[partition] = charged;
+  if (!state.flows.empty()) {
+    state.flows[partition] = subtask.flow;
+  }
   if (!recovery_enabled()) {
     backend_->Start(subtask,
-                    [this, subtask, charged]() { OnSubTaskFinish(subtask, charged); });
+                    CommBackend::Callback([this, task, partition] { OnSubTaskFinish(task, partition); }));
     return;
   }
+  Watch& watch = state.watches[partition];
   const uint64_t generation = ++next_generation_;
-  const auto inflight_key = std::make_pair(subtask.task, subtask.partition);
-  InFlight& fl = inflight_[inflight_key];
-  fl.subtask = subtask;
-  fl.key = key;
-  fl.charged = charged;
-  fl.attempts = attempts;
-  fl.generation = generation;
-  fl.timeout = sim_->Schedule(
-      AttemptTimeout(attempts),
-      [this, task = subtask.task, partition = subtask.partition, generation]() {
-        OnAttemptTimeout(task, partition, generation);
-      });
-  backend_->Start(subtask,
-                  [this, task = subtask.task, partition = subtask.partition, generation]() {
+  watch.key = key;
+  watch.attempts = attempts;
+  watch.generation = generation;
+  ++inflight_;
+  watch.timeout = sim_->Schedule(AttemptTimeout(attempts), [this, task, partition, generation] {
+    OnAttemptTimeout(task, partition, generation);
+  });
+  backend_->Start(subtask, CommBackend::Callback([this, task, partition, generation] {
                     OnAttemptFinish(task, partition, generation);
-                  });
+                  }));
 }
 
 void SchedulerCore::OnAttemptFinish(CommTaskId task, int partition, uint64_t generation) {
-  auto it = inflight_.find({task, partition});
-  if (it == inflight_.end() || it->second.generation != generation) {
+  TaskState* state = FindTask(task);
+  if (state == nullptr || state->watches[partition].generation != generation) {
     // A delayed copy of an attempt that already timed out (and was retried)
     // or of a partition that already finished: the message was late, not
     // lost. Counting it would double-finish the partition and leak credit.
@@ -284,34 +358,38 @@ void SchedulerCore::OnAttemptFinish(CommTaskId task, int partition, uint64_t gen
     }
     return;
   }
-  InFlight fl = std::move(it->second);
-  inflight_.erase(it);
-  fl.timeout.Cancel();
-  OnSubTaskFinish(fl.subtask, fl.charged);
+  Watch& watch = state->watches[partition];
+  watch.generation = 0;
+  --inflight_;
+  watch.timeout.Cancel();
+  OnSubTaskFinish(task, partition);
 }
 
 void SchedulerCore::OnAttemptTimeout(CommTaskId task, int partition, uint64_t generation) {
-  auto it = inflight_.find({task, partition});
-  if (it == inflight_.end() || it->second.generation != generation) {
+  TaskState* state = FindTask(task);
+  if (state == nullptr || state->watches[partition].generation != generation) {
     return;  // stale timer (attempt completed; Cancel raced the pop)
   }
-  InFlight fl = std::move(it->second);
-  inflight_.erase(it);
+  const Bytes charged = state->charged[partition];
+  Watch& watch = state->watches[partition];
+  watch.generation = 0;
+  --inflight_;
   ++timeouts_fired_;
   // Credit restoration: the lost attempt's bytes are no longer in flight.
-  credit_ += fl.charged;
+  credit_ += charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
+  const SubCommTask subtask = MakeSubTask(*state, task, partition);
   if (faults_ != nullptr) {
-    faults_->RecordCoreTimeout(fl.subtask.worker, fl.subtask.layer, fl.subtask.partition,
-                               fl.attempts + 1, fl.charged);
+    faults_->RecordCoreTimeout(subtask.worker, subtask.layer, partition, watch.attempts + 1,
+                               charged);
   }
-  if (fl.attempts >= config_.retry.max_retries) {
+  if (watch.attempts >= config_.retry.max_retries) {
     ++subtasks_abandoned_;
     if (faults_ != nullptr) {
       faults_->RecordAbandon();
     }
     if (config_.retry.on_abandon) {
-      config_.retry.on_abandon(fl.subtask);
+      config_.retry.on_abandon(subtask);
       TrySchedule();  // the freed credit may admit queued work
       return;
     }
@@ -323,38 +401,47 @@ void SchedulerCore::OnAttemptTimeout(CommTaskId task, int partition, uint64_t ge
   }
   // Requeue at the ORIGINAL priority key: the retry competes exactly where
   // the partition always belonged, not behind newer arrivals.
-  queue_.emplace(fl.key, QueuedSubTask{fl.subtask, fl.attempts + 1, sim_->Now()});
+  QueuedSubTask entry;
+  entry.key = watch.key;
+  entry.subtask = subtask;
+  entry.attempts = watch.attempts + 1;
+  entry.ready_at = sim_->Now();
+  PushReady(std::move(entry));
   TrySchedule();
 }
 
-void SchedulerCore::OnSubTaskFinish(SubCommTask subtask, Bytes charged) {
-  credit_ += charged;
+void SchedulerCore::OnSubTaskFinish(CommTaskId task, int partition) {
+  TaskState& state = LiveTask(task);
+  credit_ += state.charged[partition];
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
-  if (obs_ != nullptr && obs_->tracing() && sim_ != nullptr && subtask.flow != 0 &&
-      subtask.type != CommOpType::kPush) {
+  if (obs_ != nullptr && obs_->tracing() && sim_ != nullptr && !state.flows.empty() &&
+      state.flows[partition] != 0 && state.desc.type != CommOpType::kPush) {
     // The pull (or ring op) completing ends the partition's arc; a push's
     // arc stays open for its pull to continue.
+    const SubCommTask subtask = MakeSubTask(state, task, partition);
     obs_->trace()->AddFlow(track_, "finish", sim_->Now(), subtask.flow, FlowPhase::kEnd);
-    obs_->EndPartitionFlow(subtask.worker, subtask.tensor_id, subtask.partition);
+    obs_->EndPartitionFlow(subtask.worker, subtask.tensor_id, partition);
   }
-  auto it = tasks_.find(subtask.task);
-  BSCHED_CHECK(it != tasks_.end());
-  TaskState& state = it->second;
   ++state.partitions_finished;
-
-  // Copy the callbacks out: both may re-enter the Core (enqueue/ready new
-  // tasks), and on_finish-driven erase would invalidate `state`.
-  const bool task_done =
-      state.partitions_finished == static_cast<int>(state.partition_bytes.size());
-  auto on_partition_finish = state.desc.on_partition_finish;
-  std::function<void()> on_finish;
-  if (task_done) {
-    ++tasks_finished_;
-    on_finish = std::move(state.desc.on_finish);
-    tasks_.erase(it);
+  if (state.partitions_finished < state.num_parts()) {
+    // The task stays live (this was not its last partition), so the callback
+    // runs in place: a deque element never moves and is reclaimed only once
+    // finished.
+    if (state.desc.on_partition_finish) {
+      state.desc.on_partition_finish(partition);
+    }
+    TrySchedule();
+    return;
   }
+  // Move the callbacks out before retiring the task: both may re-enter the
+  // Core (enqueue/ready new tasks), which reclaims retired entries.
+  ++tasks_finished_;
+  auto on_partition_finish = std::move(state.desc.on_partition_finish);
+  auto on_finish = std::move(state.desc.on_finish);
+  state.live = false;
+  --live_tasks_;
   if (on_partition_finish) {
-    on_partition_finish(subtask.partition);
+    on_partition_finish(partition);
   }
   if (on_finish) {
     on_finish();
@@ -375,16 +462,16 @@ void SchedulerCore::ExportMetrics() const {
   m->counter(prefix + ".late_completions")->Inc(late_completions_);
   m->counter(prefix + ".abandoned")->Inc(subtasks_abandoned_);
   m->gauge(prefix + ".credit_final")->Set(credit_);
-  m->gauge(prefix + ".queue_len_final")->Set(static_cast<int64_t>(queue_.size()));
+  m->gauge(prefix + ".queue_len_final")->Set(static_cast<int64_t>(queued_.live()));
 }
 
 std::string SchedulerCore::DebugString() const {
   std::string out = "core[" + std::to_string(worker_id_) + "] credit=" + std::to_string(credit_) +
                     "/" + std::to_string(config_.credit_bytes) +
-                    " queued=" + std::to_string(queue_.size()) +
-                    " unfinished_tasks=" + std::to_string(tasks_.size());
-  if (!queue_.empty()) {
-    const SubCommTask& head = queue_.begin()->second.subtask;
+                    " queued=" + std::to_string(queued_.live()) +
+                    " unfinished_tasks=" + std::to_string(live_tasks_);
+  if (queued_.live() > 0) {
+    const SubCommTask& head = queued_[HeadSlot()].subtask;
     out += " head=(layer=" + std::to_string(head.layer) + " " + ToString(head.type) +
            " part=" + std::to_string(head.partition) + " bytes=" + std::to_string(head.bytes) +
            ")";
@@ -394,7 +481,7 @@ std::string SchedulerCore::DebugString() const {
            " retries=" + std::to_string(retries_) +
            " late=" + std::to_string(late_completions_) +
            " abandoned=" + std::to_string(subtasks_abandoned_) +
-           " inflight=" + std::to_string(inflight_.size()) + ")";
+           " inflight=" + std::to_string(inflight_) + ")";
   }
   return out;
 }

@@ -13,17 +13,24 @@
 // and the next attempt backs off exponentially; completions of timed-out
 // attempts are recognized by generation and ignored, so a delayed (rather
 // than lost) message can never double-finish a partition or leak credit.
+//
+// Hot-path layout: task state lives in a window indexed by the dense task id
+// (ids are issued in order; finished tasks are reclaimed from the window's
+// front), per-partition admission and recovery state sits in the task's
+// partition vectors, and the ready queue is one arrival-ordered FIFO per
+// priority rank, which yields SubTaskKey order without comparisons. The
+// completion closures handed to the backend capture only (this, task,
+// partition[, generation]), so they fit the inline callback buffer.
 #ifndef SRC_CORE_SCHEDULER_CORE_H_
 #define SRC_CORE_SCHEDULER_CORE_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <deque>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/common/ring_queue.h"
 #include "src/core/comm_task.h"
 #include "src/sim/simulator.h"
 
@@ -67,7 +74,7 @@ class SchedulerCore {
   // Live scheduler state (used by tests and by auto-tuning instrumentation).
   Bytes credit() const { return credit_; }
   Bytes credit_cap() const { return config_.credit_bytes; }
-  size_t queue_length() const { return queue_.size(); }
+  size_t queue_length() const { return queued_.live(); }
   uint64_t subtasks_started() const { return subtasks_started_; }
   uint64_t tasks_finished() const { return tasks_finished_; }
   const SchedulerConfig& config() const { return config_; }
@@ -78,7 +85,7 @@ class SchedulerCore {
   uint64_t retries() const { return retries_; }
   uint64_t late_completions() const { return late_completions_; }
   uint64_t subtasks_abandoned() const { return subtasks_abandoned_; }
-  size_t subtasks_in_flight() const { return inflight_.size(); }
+  size_t subtasks_in_flight() const { return inflight_; }
 
   // Exports end-of-run totals (sched.w<id>.subtasks_started, retries,
   // timeouts, ...) into the obs metrics registry. Call once after the run;
@@ -86,16 +93,43 @@ class SchedulerCore {
   void ExportMetrics() const;
 
  private:
-  struct TaskState {
-    CommTaskDesc desc;
-    std::vector<Bytes> partition_bytes;
-    std::vector<bool> partition_notified;
-    int partitions_finished = 0;
+  // Per-partition recovery state (allocated only when retry is enabled).
+  struct Watch {
+    SubTaskKey key;           // original priority key, reused on requeue
+    int attempts = 0;         // 0-based attempt index of the running attempt
+    uint64_t generation = 0;  // stale-completion filter; 0 = not under watch
+    EventHandle timeout;
   };
 
-  // Queue entry: the subtask plus how many attempts have already timed out
-  // (0 for first admissions; requeued retries carry their attempt count).
+  // Per-partition state is kept in parallel vectors so that the common
+  // case (no tracing, no recovery) costs 8 bytes per partition.
+  struct TaskState {
+    CommTaskDesc desc;
+    // Partition size; every partition but the last is exactly this big.
+    Bytes unit = 0;
+    // Credit charged by each partition's running attempt, or kNotReady
+    // until the partition is notified ready.
+    std::vector<Bytes> charged;
+    // Trace flow arc id assigned at admit (tracing only; 0 = untracked).
+    std::vector<uint64_t> flows;
+    // Timeout watch per partition (recovery only).
+    std::vector<Watch> watches;
+    int partitions_finished = 0;
+    bool live = false;
+
+    static constexpr Bytes kNotReady = -1;
+
+    int num_parts() const { return static_cast<int>(charged.size()); }
+    Bytes PartBytes(int partition) const {
+      return partition + 1 < num_parts() ? unit
+                                         : desc.tensor_bytes - unit * (num_parts() - 1);
+    }
+  };
+
+  // Ready queue entry: the subtask plus how many attempts have already timed
+  // out (0 for first admissions; requeued retries carry their attempt count).
   struct QueuedSubTask {
+    SubTaskKey key;
     SubCommTask subtask;
     int attempts = 0;
     // When this entry became schedulable (valid only when tracing with a
@@ -110,32 +144,30 @@ class SchedulerCore {
     bool credit_waiting = false;
   };
 
-  // One admitted subtask being watched by the recovery layer.
-  struct InFlight {
-    SubCommTask subtask;
-    SubTaskKey key;  // original priority key, reused on requeue
-    Bytes charged = 0;
-    int attempts = 0;        // 0-based attempt index
-    uint64_t generation = 0; // stale-completion filter
-    EventHandle timeout;
-  };
-
   bool recovery_enabled() const { return config_.retry.enabled() && sim_ != nullptr; }
   SimTime AttemptTimeout(int attempts) const;
 
+  // Live task `id`, or null once it finished (or was never issued).
+  TaskState* FindTask(CommTaskId id);
+  const TaskState* FindTask(CommTaskId id) const;
+  TaskState& LiveTask(CommTaskId id);
+  SubCommTask MakeSubTask(const TaskState& state, CommTaskId id, int partition) const;
+
   // Records admit-time metrics/trace/flow for one admitted entry; mutates
   // entry.subtask.flow. `queue_depth_before` is the queue size at pop time.
-  void RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Bytes charged,
-                   size_t queue_depth_before);
+  void RecordAdmit(QueuedSubTask& entry, Bytes charged, size_t queue_depth_before);
 
   SubTaskKey KeyFor(const SubCommTask& subtask);
+  void PushReady(QueuedSubTask entry);
+  // queued_ slot of the queue head; the queue must not be empty.
+  uint32_t HeadSlot() const;
   void EnqueueReady(TaskState& state, CommTaskId id, int partition);
   void TrySchedule();
   void StartAttempt(const SubCommTask& subtask, const SubTaskKey& key, Bytes charged,
                     int attempts);
   void OnAttemptFinish(CommTaskId task, int partition, uint64_t generation);
   void OnAttemptTimeout(CommTaskId task, int partition, uint64_t generation);
-  void OnSubTaskFinish(SubCommTask subtask, Bytes charged);
+  void OnSubTaskFinish(CommTaskId task, int partition);
 
   SchedulerConfig config_;
   CommBackend* backend_;
@@ -157,11 +189,23 @@ class SchedulerCore {
   uint64_t next_arrival_seq_ = 0;
   uint64_t next_generation_ = 0;
   Bytes credit_;
-  std::map<CommTaskId, TaskState> tasks_;
-  // Ready SubCommTasks ordered by priority key; begin() is the head.
-  std::map<SubTaskKey, QueuedSubTask> queue_;
-  // Admitted subtasks under timeout watch, keyed by (task, partition).
-  std::map<std::pair<CommTaskId, int>, InFlight> inflight_;
+  // Tasks first_task_ .. next_task_id_-1, indexed by id - first_task_.
+  // Finished tasks stay as non-live entries until the front is reclaimed in
+  // Enqueue; a deque never moves elements, so a TaskState reference survives
+  // re-entrant Enqueue calls from callbacks.
+  std::deque<TaskState> tasks_;
+  CommTaskId first_task_ = 0;
+  size_t live_tasks_ = 0;
+  // Ready subtasks. Entries live in a slab; the order is one FIFO of slots
+  // per priority rank (layer, type_rank), kept sorted by arrival_seq, and the
+  // head is the front of the lowest non-empty rank — SubTaskKey order in
+  // O(1) per admit. New entries always append (arrival_seq only grows); only
+  // a requeued retry, which keeps its original key, inserts mid-FIFO.
+  SlotPool<QueuedSubTask> queued_;
+  std::vector<RingQueue<uint32_t>> ranks_;
+  std::vector<uint64_t> nonempty_ranks_;  // bitmap over ranks_
+  // Admitted subtasks under timeout watch (recovery only).
+  size_t inflight_ = 0;
   bool scheduling_ = false;
 
   uint64_t subtasks_started_ = 0;

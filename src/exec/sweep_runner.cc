@@ -42,37 +42,39 @@ void SweepRunner::RunAll(size_t n, const std::function<void(size_t)>& fn) {
     std::mutex mu;
     std::condition_variable cv;
     size_t remaining;
-    // Lowest-index exception wins so propagation is deterministic.
-    size_t first_error_index;
-    std::exception_ptr error;
+    // One slot per task, written only by that task.
+    std::vector<std::exception_ptr> errors;
   };
   auto shared = std::make_shared<Shared>();
   shared->remaining = n;
-  shared->first_error_index = n;
+  shared->errors.resize(n);
 
   for (size_t i = 0; i < n; ++i) {
-    pool_->Submit([shared, &fn, i] {
-      std::exception_ptr error;
-      try {
-        fn(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(shared->mu);
-      if (error != nullptr && i < shared->first_error_index) {
-        shared->first_error_index = i;
-        shared->error = error;
-      }
-      if (--shared->remaining == 0) {
-        shared->cv.notify_all();
-      }
-    });
+    pool_->Submit(
+        [shared, &fn, i] {
+          try {
+            fn(i);
+          } catch (...) {
+            shared->errors[i] = std::current_exception();
+          }
+        },
+        // Signalled from on_done, after the pool recorded the task's stats,
+        // so Stats() right after ParallelFor returns counts every task.
+        [shared] {
+          std::lock_guard<std::mutex> lock(shared->mu);
+          if (--shared->remaining == 0) {
+            shared->cv.notify_all();
+          }
+        });
   }
 
   std::unique_lock<std::mutex> lock(shared->mu);
   shared->cv.wait(lock, [&shared] { return shared->remaining == 0; });
-  if (shared->error != nullptr) {
-    std::rethrow_exception(shared->error);
+  // Lowest-index exception wins so propagation is deterministic.
+  for (const std::exception_ptr& error : shared->errors) {
+    if (error != nullptr) {
+      std::rethrow_exception(error);
+    }
   }
 }
 

@@ -58,10 +58,10 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task, std::function<void()> on_done) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push_back(std::move(task));
+    tasks_.push_back(Task{std::move(task), std::move(on_done)});
   }
   cv_.notify_one();
 }
@@ -75,7 +75,7 @@ PoolStats ThreadPool::Stats() const {
 
 void ThreadPool::WorkerLoop(int index) {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       const auto wait_start = std::chrono::steady_clock::now();
@@ -88,12 +88,16 @@ void ThreadPool::WorkerLoop(int index) {
       tasks_.pop_front();
     }
     const auto task_start = std::chrono::steady_clock::now();
-    task();
+    task.run();
     const double elapsed = SecondsBetween(task_start, std::chrono::steady_clock::now());
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_[index].tasks;
       stats_[index].task_sec.Add(elapsed);
+    }
+    // Completion becomes visible only after the stats above are published.
+    if (task.on_done) {
+      task.on_done();
     }
   }
 }

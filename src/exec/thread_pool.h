@@ -42,21 +42,29 @@ class ThreadPool {
   ~ThreadPool();
 
   // Enqueues a task; it runs on some worker thread. Must not be called after
-  // destruction has begun.
-  void Submit(std::function<void()> task);
+  // destruction has begun. `on_done` (optional) runs on the same thread once
+  // the task's stats are recorded, so a caller that signals completion from
+  // it sees the task counted by any later Stats() call.
+  void Submit(std::function<void()> task, std::function<void()> on_done = nullptr);
 
   int size() const { return static_cast<int>(workers_.size()); }
 
   // Snapshot of per-worker task counts, idle time, and task durations.
-  // Callable at any time; in-progress tasks are not yet counted.
+  // Callable at any time; in-progress tasks are not yet counted, tasks whose
+  // on_done has started are.
   PoolStats Stats() const;
 
  private:
+  struct Task {
+    std::function<void()> run;
+    std::function<void()> on_done;
+  };
+
   void WorkerLoop(int index);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
+  std::deque<Task> tasks_;
   bool stopping_ = false;
   // Written by each worker under mu_ (wait exit / task completion).
   std::vector<PoolWorkerStats> stats_;

@@ -4,10 +4,12 @@
 // push/pull pipelining argument observable (partitioned tensors keep both
 // directions busy; unpartitioned ones waste half the bandwidth).
 //
-// Two transmission paths share one flush/fault/deliver epilogue:
-//   - Legacy fixed-rate path (default): occupancy is a single Resource job of
-//     MessageTime(size). Zero-cost contract: without a RateModel installed the
-//     event sequence is bit-identical to what it was before dynamics existed.
+// Two transmission paths share one FIFO, busy/drain bookkeeping and
+// flush/fault/deliver epilogue:
+//   - Legacy fixed-rate path (default): occupancy is MessageTime(size), one
+//     completion event per message. Zero-cost contract: without a RateModel
+//     installed the event sequence is bit-identical to what it was before
+//     dynamics existed.
 //   - Dynamic path (SetRateModel): occupancy integrates the link's
 //     time-varying rate — schedule scale × AIMD controller scale × per-message
 //     scale (cross-rack derating) — re-pacing the in-flight transfer whenever
@@ -15,19 +17,24 @@
 //     unit scales the integral collapses to the exact legacy arithmetic
 //     (same llround, same operation order), so enabled-but-idle dynamics
 //     reproduce legacy timings bit-for-bit.
+//
+// Queued-callback design: a message waits in the Link's own FIFO (the front
+// is the one on the wire while busy) and its flush and delivery callbacks
+// wait in per-kind callback FIFOs, holding only the callbacks it has. The
+// occupancy-end event captures only `this`, callers' closures hold small
+// handles, and steady-state sends allocate nothing.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 
+#include "src/common/inline_fn.h"
+#include "src/common/ring_queue.h"
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/rate_model.h"
 #include "src/net/transport.h"
-#include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 
 namespace bsched {
@@ -39,19 +46,23 @@ class Histogram;
 
 class Link {
  public:
+  using Callback = InlineFn<void()>;
+  // Receives the message's wire flight (pipelined latency plus any injected
+  // delay) at flush time; see SendCrossShard.
+  using Deliver = InlineFn<void(SimTime wire_flight)>;
+
   Link(Simulator* sim, std::string name, Bandwidth line_rate, const TransportModel& transport);
 
   // Enqueues a message of `size` bytes. `on_delivered` fires when the message
   // reaches the far end: occupancy (serialization + serial overhead) plus the
   // transport's pipelined latency. The link frees at occupancy end, so
   // subsequent messages overlap with in-flight latency.
-  void Send(Bytes size, std::function<void()> on_delivered);
+  void Send(Bytes size, Callback on_delivered);
 
   // Like Send, but also reports the sender-side flush (occupancy end, when
   // the stack accepts the next message). ps-lite-style push completions are
   // flush-time events; delivery-time events drive the receiving side.
-  void SendWithFlush(Bytes size, std::function<void()> on_flushed,
-                     std::function<void()> on_delivered);
+  void SendWithFlush(Bytes size, Callback on_flushed, Callback on_delivered);
 
   // Sharded-mode variant: identical sender-side behavior (occupancy, flush,
   // obs counters, fault fate), but instead of scheduling the delivery on this
@@ -59,13 +70,10 @@ class Link {
   // plus any injected delay) to `deliver` at flush time. The caller forwards
   // it across the shard boundary (ShardCoordinator::Post). Dropped messages
   // never invoke `deliver`, exactly as they never invoke on_delivered.
-  void SendCrossShard(Bytes size, std::function<void()> on_flushed,
-                      std::function<void(SimTime wire_flight)> deliver);
-  // With a per-message pacing scale (two-tier topology: cross-rack transfers
-  // run at line_rate / oversubscription). Requires the dynamic path unless
-  // msg_scale == 1.0.
-  void SendCrossShard(Bytes size, double msg_scale, std::function<void()> on_flushed,
-                      std::function<void(SimTime wire_flight)> deliver);
+  // `msg_scale` paces this message (two-tier topology: cross-rack transfers
+  // run at line_rate / oversubscription); it requires the dynamic path
+  // unless 1.0.
+  void SendCrossShard(Bytes size, double msg_scale, Callback on_flushed, Deliver deliver);
 
   // Time a message of `size` occupies this link at the nominal (static) rate
   // (excludes pipelined latency). Scheduler estimates use this even under
@@ -76,11 +84,12 @@ class Link {
   const TransportModel& transport() const { return transport_; }
 
   Bytes bytes_sent() const { return bytes_sent_; }
-  SimTime busy_time() const;
-  uint64_t messages_sent() const;
-  size_t queue_length() const;
-  bool busy() const;
-  const std::string& name() const { return resource_.name(); }
+  SimTime busy_time() const { return busy_time_; }
+  uint64_t messages_sent() const { return msgs_done_; }
+  // Messages waiting behind the one on the wire.
+  size_t queue_length() const { return msgs_.size() - (busy_ ? 1 : 0); }
+  bool busy() const { return busy_; }
+  const std::string& name() const { return name_; }
   // Virtual time at which all currently queued work will have drained
   // (queued messages estimated at their nominal per-message rate).
   SimTime DrainTime() const;
@@ -117,42 +126,39 @@ class Link {
   void ExportMetrics();
 
  private:
-  struct DynMessage {
+  enum class Delivery : uint8_t { kNone, kLocal, kHook };
+  // One queued message; its callbacks wait in the per-kind FIFOs below.
+  struct Message {
     Bytes size = 0;
     double msg_scale = 1.0;
-    std::function<void()> on_flushed;
-    std::function<void(SimTime)> deliver;
+    bool has_flush = false;
+    Delivery delivery = Delivery::kNone;
   };
   // State for the dynamic path; allocated only by SetRateModel so idle links
-  // pay one pointer of overhead.
+  // pay one pointer of overhead. The message in flight is msgs_.front().
   struct DynState {
     RateModel model;
     double ctrl_scale = 1.0;
-    std::deque<DynMessage> queue;
-    bool busy = false;
-    DynMessage current;
+    double current_scale = 1.0;  // msg_scale of the message in flight
     // Payload bytes left to serialize as of `anchor` (transmission starts at
     // message start + serial_overhead; before that, anchor is that start).
     double remaining = 0.0;
     SimTime anchor;
-    SimTime busy_since;
-    SimTime completion_at;
     EventHandle completion;
-    SimTime busy_time;
-    uint64_t msgs_done = 0;
     uint64_t repaces = 0;
   };
 
-  // Shared epilogue for both paths: inflight gauge, flush callback, fault
-  // fate, delivery handoff. Runs at occupancy end.
-  void FinishSend(Bytes size, std::function<void()>& on_flushed,
-                  std::function<void(SimTime)>& deliver);
+  void Enqueue(Bytes size, double msg_scale, Callback on_flushed, Callback on_delivered,
+               Deliver deliver);
+  void StartNext();
+  // Occupancy end of msgs_.front() on either path: frees the link, pops the
+  // message and runs the epilogue — inflight gauge, flush callback, fault
+  // fate, delivery — then starts the next message unless a callback did.
+  void OnOccupancyEnd();
+  // Fault fate and hand-off of a flushed message to its delivery callback.
+  void DeliverMessage(Callback on_delivered, Deliver deliver);
 
-  void DynSend(Bytes size, double msg_scale, std::function<void()> on_flushed,
-               std::function<void(SimTime)> deliver);
-  void DynStartNext();
   void DynScheduleCompletion();
-  void DynOnComplete();
   // Settles `remaining` through the rate trajectory up to `until` (controller
   // rate changes integrate the old scale before switching).
   void DynDrainUntil(SimTime until);
@@ -161,12 +167,22 @@ class Link {
   SimTime DynFinishTime() const;
   // Effective serialization rate (bytes/sec) for the current message at t.
   double DynRate(SimTime t) const;
-  SimTime DynDrainTime() const;
 
   Simulator* sim_;
+  std::string name_;
   Bandwidth line_rate_;
   TransportModel transport_;
-  Resource resource_;
+  // Messages not yet flushed, in send order; front() is on the wire while
+  // busy_. Callbacks of the messages that have them, in the same order.
+  RingQueue<Message> msgs_;
+  RingQueue<Callback> flush_cbs_;
+  RingQueue<Callback> local_cbs_;
+  RingQueue<Deliver> hook_cbs_;
+  bool busy_ = false;
+  SimTime busy_since_;
+  SimTime busy_until_;  // occupancy end of the message on the wire
+  SimTime busy_time_;
+  uint64_t msgs_done_ = 0;
   Bytes bytes_sent_ = 0;
   FaultInjector* faults_ = nullptr;
   uint64_t site_hash_ = 0;

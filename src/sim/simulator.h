@@ -7,8 +7,8 @@
 //
 // Hot-path design: events live in a pooled slot table (reused across the
 // run, so steady-state scheduling allocates nothing), callbacks are stored
-// in a small-buffer-optimized EventFn (no per-event std::function heap
-// allocation), and cancellation is a slot-generation check instead of a
+// in a small-buffer-optimized EventFn (no heap allocation for closures that
+// fit its inline buffer), and cancellation is a slot-generation check instead of a
 // per-event shared_ptr control block. Cancelled entries still queued are
 // lazily skipped, and the queue is compacted when they pile up. Entry
 // ordering is delegated to a pluggable EventQueue policy (timer wheel by
@@ -21,112 +21,20 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "src/common/inline_fn.h"
 #include "src/common/units.h"
 #include "src/sim/event_queue.h"
 
 namespace bsched {
 
-// Move-only callable with small-buffer optimization: callables up to
-// kInlineBytes construct in place; larger ones fall back to one heap
-// allocation (the scheduler's own callbacks all fit inline).
-class EventFn {
- public:
-  static constexpr size_t kInlineBytes = 48;
-
-  EventFn() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): callback sink
-    using D = std::decay_t<F>;
-    if constexpr (FitsInline<D>()) {
-      new (storage_) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
-  }
-
-  EventFn(EventFn&& other) noexcept { MoveFrom(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { Reset(); }
-
-  void operator()() { ops_->invoke(storage_); }
-  explicit operator bool() const { return ops_ != nullptr; }
-
-  void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void* storage);
-    // Move-constructs dst's payload from src's and destroys src's.
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void* storage);
-  };
-
-  template <typename D>
-  static constexpr bool FitsInline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
-  template <typename D>
-  static D* Inline(void* storage) {
-    return std::launder(reinterpret_cast<D*>(storage));
-  }
-  template <typename D>
-  static D* Heap(void* storage) {
-    return *reinterpret_cast<D**>(storage);
-  }
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
-      [](void* s) { (*Inline<D>(s))(); },
-      [](void* dst, void* src) {
-        new (dst) D(std::move(*Inline<D>(src)));
-        Inline<D>(src)->~D();
-      },
-      [](void* s) { Inline<D>(s)->~D(); },
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* s) { (*Heap<D>(s))(); },
-      [](void* dst, void* src) { *reinterpret_cast<D**>(dst) = Heap<D>(src); },
-      [](void* s) { delete Heap<D>(s); },
-  };
-
-  void MoveFrom(EventFn& other) {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
+// Event callbacks use the simulator's one callback type (src/common/
+// inline_fn.h). A closure over at most 48 bytes — `this` plus a few indices —
+// is stored in the event's pooled slot; a larger one costs one heap
+// allocation, which the partition hot path avoids by keeping its bulky state
+// (callbacks, subtasks) in the owning entity's queues and tables.
+using EventFn = InlineFn<void()>;
 
 class Simulator;
 

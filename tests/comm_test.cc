@@ -163,6 +163,36 @@ TEST(PsBackendTest, ControlLatencyDelaysAck) {
   EXPECT_NEAR(acked.ToSeconds(), hop_sec + 10e-6, 1e-9);
 }
 
+// A Core-level retry of a push that a newer push task of the same slot has
+// already superseded must not open a new aggregation round: its copy would
+// count as a phantom arrival and complete the next round before the
+// worker's real gradient (which once notified pulls that had already
+// finished, aborting vanilla jobs under chaos).
+TEST(PsBackendTest, SupersededPushRetryIsDroppedAsStale) {
+  Simulator sim;
+  PsBackend ps(&sim, IdealPs(2, 1));
+  int aggregations = 0;
+  ps.AddAggregationListener([&](int64_t, int, int worker) { aggregations += worker == 0; });
+  auto push = [&](int worker, CommTaskId task) {
+    SubCommTask st = MakeSub(worker, 0, 0, MiB(1), CommOpType::kPush);
+    st.task = task;
+    ps.Start(st, [] {});
+    sim.Run();
+  };
+  push(0, 1);
+  push(1, 2);
+  EXPECT_EQ(aggregations, 1);
+  push(0, 3);
+  push(1, 4);
+  EXPECT_EQ(aggregations, 2);
+  push(0, 1);  // retry of worker 0's first push, superseded by task 3
+  EXPECT_EQ(ps.stale_push_drops(), 1u);
+  push(1, 5);
+  EXPECT_EQ(aggregations, 2) << "round 3 completed without worker 0's gradient";
+  push(0, 6);
+  EXPECT_EQ(aggregations, 3);
+}
+
 TEST(PsBackendTest, AggregationListenerFires) {
   Simulator sim;
   PsBackend ps(&sim, IdealPs(2, 1));

@@ -16,7 +16,7 @@ namespace {
 // emulating the underlying FIFO stack.
 class MockBackend : public CommBackend {
  public:
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+  void Start(const SubCommTask& subtask, Callback on_finish) override {
     started.push_back(subtask);
     pending.push_back(std::move(on_finish));
   }
@@ -36,7 +36,7 @@ class MockBackend : public CommBackend {
   }
 
   std::vector<SubCommTask> started;
-  std::deque<std::function<void()>> pending;
+  std::deque<Callback> pending;
 };
 
 CommTaskDesc MakeDesc(int layer, Bytes bytes, CommOpType type = CommOpType::kPush) {

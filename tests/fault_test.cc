@@ -148,7 +148,7 @@ class FlakyBackend : public CommBackend {
  public:
   explicit FlakyBackend(int fail_first) : fail_first_(fail_first) {}
 
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+  void Start(const SubCommTask& subtask, Callback on_finish) override {
     started.push_back(subtask);
     if (static_cast<int>(started.size()) <= fail_first_) {
       swallowed.push_back(std::move(on_finish));
@@ -165,8 +165,8 @@ class FlakyBackend : public CommBackend {
   }
 
   std::vector<SubCommTask> started;
-  std::vector<std::function<void()>> swallowed;
-  std::deque<std::function<void()>> pending;
+  std::vector<Callback> swallowed;
+  std::deque<Callback> pending;
 
  private:
   int fail_first_;
@@ -617,6 +617,32 @@ TEST(ChaosEndToEndTest, PyTorchAllReduce) {
   // Every dropped collective launch must be recovered by a Core timeout
   // (all-reduce has no backend-level retransmission).
   EXPECT_GE(timeouts, drops);
+}
+
+// Regression: vanilla (tensor-level pull chaining) PS jobs under the default
+// chaos plan aborted — a Core retry of a push already superseded by the next
+// iteration's push opened a phantom aggregation round that notified a pull
+// which had already finished, and a retried push of an accepted round kept
+// an ack timer nothing cancelled until its retransmit budget ran out.
+TEST(ChaosEndToEndTest, VanillaPsSurvivesDefaultPlan) {
+  for (const ModelProfile& model : {Vgg16(), Transformer()}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(model.name + " seed=" + std::to_string(seed));
+      JobConfig job;
+      job.model = model;
+      job.setup = Setup::MxnetPsTcp();
+      job.mode = SchedMode::kVanilla;
+      job.num_machines = 2;
+      job.bandwidth = Bandwidth::Gbps(25);
+      job.chaos = FaultPlanConfig::Chaos(seed);
+      const JobResult a = RunTrainingJob(job);
+      ExpectRecovered(a);
+      EXPECT_GT(a.fault_stats.core_retries, 0u);
+      const JobResult b = RunTrainingJob(job);
+      EXPECT_EQ(a.sim_events, b.sim_events);
+      EXPECT_EQ(a.avg_iter_time, b.avg_iter_time);
+    }
+  }
 }
 
 TEST(ChaosEndToEndTest, FaultTracksAppearInTrace) {

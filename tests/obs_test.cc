@@ -321,19 +321,20 @@ TEST(MetricsSnapshotTest, CsvShape) {
 TEST(PoolStatsTest, SweepRunnerAccountsEveryTask) {
   SweepRunner runner(2);
   constexpr size_t kTasks = 12;
-  std::vector<double> sink = runner.ParallelFor(kTasks, [](size_t i) {
-    double acc = 0.0;
-    for (int k = 0; k < 20'000; ++k) {
-      acc += static_cast<double>((i + 1) * k % 17);
-    }
-    return acc;
-  });
-  EXPECT_EQ(sink.size(), kTasks);
+  // Stats() right after ParallelFor returns must already count the last
+  // task; repeated so a publication race between a task's completion signal
+  // and its stats update shows up.
+  constexpr size_t kRounds = 2000;
+  for (size_t round = 1; round <= kRounds; ++round) {
+    std::vector<double> sink =
+        runner.ParallelFor(kTasks, [](size_t i) { return static_cast<double>(i); });
+    ASSERT_EQ(sink.size(), kTasks);
+    ASSERT_EQ(runner.Stats().total_tasks(), round * kTasks) << "round " << round;
+  }
   const PoolStats stats = runner.Stats();
   EXPECT_EQ(stats.workers.size(), 2u);
-  EXPECT_EQ(stats.total_tasks(), kTasks);
   const RunningStats merged = stats.merged_task_sec();
-  EXPECT_EQ(merged.count(), kTasks);
+  EXPECT_EQ(merged.count(), kRounds * kTasks);
   EXPECT_GE(merged.min(), 0.0);
   // Inline runners expose empty stats rather than lying.
   SweepRunner inline_runner(1);

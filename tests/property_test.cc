@@ -131,7 +131,7 @@ class ReorderBackend : public CommBackend {
  public:
   explicit ReorderBackend(uint64_t seed) : rng_(seed) {}
 
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+  void Start(const SubCommTask& subtask, Callback on_finish) override {
     pending_.push_back(std::move(on_finish));
     (void)subtask;
   }
@@ -152,7 +152,7 @@ class ReorderBackend : public CommBackend {
 
  private:
   Rng rng_;
-  std::vector<std::function<void()>> pending_;
+  std::vector<Callback> pending_;
 };
 
 class CoreFuzzTest : public ::testing::TestWithParam<uint64_t> {};
