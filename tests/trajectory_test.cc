@@ -18,6 +18,7 @@
 #include "src/common/trace.h"
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
+#include "src/obs/timeseries.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
 
@@ -200,6 +201,56 @@ TEST(TrajectoryPinTest, MetricsAndTraceOn) {
   EXPECT_EQ(trace.num_events(), 26872u);
   EXPECT_EQ(Fnv1a(trace_json.str()), 17204608295317980769ull);
   EXPECT_EQ(Fnv1a(metrics_json.str()), 53037998254880850ull);
+}
+
+// Exported-artifact pins for the sampling pipeline: the time-series CSV, its
+// tick count and the metrics CSV (whose p50/p95/p99 columns come from the
+// log2 sketch), recorded before the recorder stored numeric samples and
+// formatted at export. The fig15 job adds the per-link rate_bps probe rows.
+TEST(TrajectoryPinTest, TimeSeriesAndMetricsCsv) {
+  struct CsvPin {
+    std::string name;
+    JobConfig job;
+    uint64_t ticks;
+    uint64_t timeseries_fnv;
+    uint64_t metrics_csv_fnv;
+  };
+  const std::vector<CsvPin> pins = {
+      {"mxnet_rdma_bytescheduler",
+       Job(Vgg16(), Setup::MxnetPsRdma(), 2, 100, SchedMode::kByteScheduler), 10698,
+       10107500440778084370ull, 1375963041438328737ull},
+      {"fig15_aimd_bytescheduler",
+       VolatileAimd(Job(ResNet50(), Setup::MxnetPsTcp(), 2, 25, SchedMode::kByteScheduler)), 9590,
+       16414662488301330103ull, 12851385419734173004ull},
+  };
+  for (const CsvPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    MetricsRegistry metrics;
+    TimeSeriesRecorder timeseries(&metrics, SimTime::Micros(100));
+    JobConfig job = pin.job;
+    job.metrics = &metrics;
+    job.timeseries = &timeseries;
+    RunTrainingJob(job);
+    const std::string csv = timeseries.ToCsv();
+    std::ostringstream streamed;
+    timeseries.WriteCsv(streamed);
+    EXPECT_EQ(streamed.str(), csv);
+    std::ostringstream metrics_csv;
+    metrics.Snapshot().WriteCsv(metrics_csv);
+    const uint64_t ticks = timeseries.total_ticks();
+    const uint64_t csv_fnv = Fnv1a(csv);
+    const uint64_t metrics_fnv = Fnv1a(metrics_csv.str());
+    if (ticks != pin.ticks || csv_fnv != pin.timeseries_fnv ||
+        metrics_fnv != pin.metrics_csv_fnv) {
+      std::printf("CSV PIN %s %llu, %lluull, %lluull\n", pin.name.c_str(),
+                  static_cast<unsigned long long>(ticks),
+                  static_cast<unsigned long long>(csv_fnv),
+                  static_cast<unsigned long long>(metrics_fnv));
+    }
+    EXPECT_EQ(ticks, pin.ticks);
+    EXPECT_EQ(csv_fnv, pin.timeseries_fnv);
+    EXPECT_EQ(metrics_fnv, pin.metrics_csv_fnv);
+  }
 }
 
 TEST(TrajectoryPinTest, CoscheduledJobs) {
