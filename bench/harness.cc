@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -144,6 +145,10 @@ int InitBenchJobs(int argc, const char* const* argv) {
   const int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   SweepRunner::SetDefaultJobs(jobs);
   g_obs_flags = ParseObsFlags(flags);
+  if (!g_obs_flags.error.empty()) {
+    std::fprintf(stderr, "%s\n", g_obs_flags.error.c_str());
+    std::exit(2);
+  }
   g_shards = static_cast<int>(flags.GetInt("shards", 0));
   return SweepRunner::DefaultJobs();
 }

@@ -24,7 +24,8 @@
 //                        cadence and write the series CSV (default
 //                        timeseries.csv)
 //        --sample-every=US  the sampling cadence in simulated microseconds
-//                        (default 100; implies --timeseries when given alone)
+//                        (default 100; implies --timeseries when given alone;
+//                        a value <= 0 exits with status 2)
 //        --obs           shorthand for --trace --metrics --timeseries
 //                        Inspect the artifacts with: ./build/bench/obs_report
 #include <cstdio>
@@ -54,6 +55,10 @@ int main(int argc, char** argv) {
           ? 1
           : static_cast<uint64_t>(flags.GetInt("volatility", 1));
   const ObsFlags obs = ParseObsFlags(flags);
+  if (!obs.error.empty()) {
+    std::fprintf(stderr, "quickstart: %s\n", obs.error.c_str());
+    return 2;
+  }
   TraceRecorder trace;
   MetricsRegistry metrics;
   const bool want_timeseries = !obs.timeseries_path.empty();

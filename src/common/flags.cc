@@ -93,12 +93,18 @@ ObsFlags ParseObsFlags(const Flags& flags) {
     }
   }
   // --sample-every alone implies time-series sampling at that cadence.
-  const int64_t sample_every_us = flags.GetInt("sample-every", 0);
-  if (sample_every_us > 0 && obs.timeseries_path.empty()) {
-    obs.timeseries_path = "timeseries.csv";
-  }
-  if (!obs.timeseries_path.empty()) {
-    obs.sample_every_us = sample_every_us > 0 ? sample_every_us : 100;
+  if (flags.Has("sample-every")) {
+    obs.sample_every_us = flags.GetInt("sample-every", 0);
+    if (obs.sample_every_us <= 0) {
+      obs.error = "--sample-every must be a positive number of microseconds, got '" +
+                  flags.GetString("sample-every", "") + "'";
+      return obs;
+    }
+    if (obs.timeseries_path.empty()) {
+      obs.timeseries_path = "timeseries.csv";
+    }
+  } else if (!obs.timeseries_path.empty()) {
+    obs.sample_every_us = 100;
   }
   return obs;
 }

@@ -41,6 +41,9 @@ struct ObsFlags {
   // Sampling cadence in simulated microseconds (only meaningful when
   // timeseries_path is set; defaults to 100us).
   int64_t sample_every_us = 0;
+  // Non-empty when a flag value is invalid (e.g. --sample-every <= 0); the
+  // binary prints it and exits with status 2.
+  std::string error;
 
   bool enabled() const {
     return !trace_path.empty() || !metrics_path.empty() || !timeseries_path.empty();
@@ -51,7 +54,8 @@ struct ObsFlags {
 // respective sink (default paths "trace.json" / "metrics.json" /
 // "timeseries.csv" when no value is given); bare --obs enables all three
 // with default paths. --sample-every=<us> sets the sampling cadence (and
-// implies --timeseries when given alone; default 100us).
+// implies --timeseries when given alone; default 100us); a value that is not
+// a positive integer sets `error`.
 ObsFlags ParseObsFlags(const Flags& flags);
 
 }  // namespace bsched

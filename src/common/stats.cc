@@ -51,25 +51,18 @@ double Percentile(std::vector<double> values, double p) {
 }
 
 double PercentileInPlace(std::span<double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  if (values.size() == 1) {
-    return values[0];
-  }
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  std::nth_element(values.begin(), values.begin() + static_cast<ptrdiff_t>(lo), values.end());
-  const double lo_value = values[lo];
-  if (hi == lo || frac == 0.0) {
-    return lo_value;
-  }
-  // The hi-neighbor is the minimum of the partition right of lo.
-  const double hi_value =
-      *std::min_element(values.begin() + static_cast<ptrdiff_t>(lo) + 1, values.end());
-  return lo_value * (1.0 - frac) + hi_value * frac;
+  // Select the lower rank in place; its upper neighbour is then the minimum
+  // of the partition right of it.
+  bool selected = false;
+  return PercentileOfSorted(values.size(), p, [&](size_t k) {
+    const auto kth = values.begin() + static_cast<ptrdiff_t>(k);
+    if (selected) {
+      return *std::min_element(kth, values.end());
+    }
+    selected = true;
+    std::nth_element(values.begin(), kth, values.end());
+    return *kth;
+  });
 }
 
 double Mean(const std::vector<double>& values) {

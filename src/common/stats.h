@@ -3,6 +3,7 @@
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -34,6 +35,31 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+// Percentile of `n` ascending order statistics with linear interpolation
+// between ranks; p in [0, 100], 0 when n == 0. `at(k)` returns the k-th
+// smallest value; it is asked for the lower rank first and then, only when
+// the interpolation needs it, for the next one. The one rank convention
+// behind Percentile, PercentileInPlace and the log2-sketch percentiles
+// (SketchPercentiles in src/obs/metrics.h), so they agree bit for bit.
+template <typename At>
+double PercentileOfSorted(size_t n, double p, At&& at) {
+  if (n == 0) {
+    return 0.0;
+  }
+  if (n == 1) {
+    return at(size_t{0});
+  }
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, n - 1);
+  const double frac = rank - static_cast<double>(lo);
+  const double lo_value = at(lo);
+  if (hi == lo || frac == 0.0) {
+    return lo_value;
+  }
+  return lo_value * (1.0 - frac) + at(hi) * frac;
+}
 
 // Percentile of a sample set with linear interpolation; p in [0, 100].
 // Returns 0 for an empty vector.

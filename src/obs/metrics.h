@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,12 +55,14 @@ struct HistogramSnapshot {
   // target bucket's [lower, upper] value range. 0 for an empty histogram.
   double Quantile(double q) const;
 
-  // Percentile estimates (each p in [0, 100]) computed by expanding the log2
-  // buckets into a bounded set of evenly-spread representative samples and
-  // selecting with PercentileInPlace — the same selection the rest of the
-  // harness uses, so CSV percentiles and bench percentiles agree on
-  // convention. Returns one value per requested percentile; all zeros for an
-  // empty histogram.
+  // Percentile estimates (each p in [0, 100]): each non-empty bucket stands
+  // for a bounded set of representative points spread evenly across its
+  // value range, and the percentile interpolates between ranks of those
+  // points with the PercentileOfSorted convention (src/common/stats.h).
+  // Computed in closed form by SketchPercentiles below — the points are never
+  // materialised — with the same values, bit for bit, as sorting them would
+  // give. Returns one value per requested percentile; all zeros for an empty
+  // histogram.
   std::vector<double> Percentiles(const std::vector<double>& ps) const;
 };
 
@@ -101,6 +104,19 @@ class Histogram {
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<int64_t> sum_{0};
 };
+
+// The percentile core behind HistogramSnapshot::Percentiles, over dense
+// per-bucket counts (`buckets[i]` observations in bucket i, `count` their
+// total). Bucket i with c observations stands for n points
+// lo + (hi - lo) * (2j + 1) / (2n), j < n, where n = c, or a proportional
+// share of at most 4096 points in all (at least one per non-empty bucket)
+// when count exceeds that. Buckets ascend and so do the points inside one,
+// so the point at rank k is found by walking the bucket point counts. Writes
+// one value per entry of `ps` to `out` (all zeros when count == 0) and
+// allocates nothing: the time-series recorder calls it once per sketch on
+// every tick with the window's bucket deltas.
+void SketchPercentiles(std::span<const uint64_t, Histogram::kNumBuckets> buckets, uint64_t count,
+                       std::span<const double> ps, std::span<double> out);
 
 // Point-in-time export of a whole registry. Maps are name-sorted, so two
 // snapshots of identical metric state serialize byte-identically regardless

@@ -1,8 +1,12 @@
 #include "src/obs/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
@@ -11,25 +15,43 @@
 namespace bsched {
 namespace {
 
+constexpr double kTickPercentiles[] = {50.0, 95.0, 99.0};
+// Sample words of one sketch per tick: count, sum, then the percentiles.
+constexpr size_t kSketchWords = 2 + std::size(kTickPercentiles);
+
+constexpr std::string_view kHeader = "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n";
+constexpr std::string_view kScalarTail = ",,,,,\n";
+// Widest cells: an int64 with its sign, and a percentile in "%.4f" form —
+// at most the top bucket bound 2^63, "9223372036854775808.0000".
+constexpr size_t kIntChars = 20;
+constexpr size_t kPercentileChars = 24;
+// Formatted rows are spilled in chunks of about this many bytes.
+constexpr size_t kChunkBytes = size_t{64} << 10;
+
+// std::to_chars writes the same bytes as printf("%lld") / printf("%.4f") in
+// the C locale, without the format-string parse or the locale lookup.
+char* PutInt(char* p, int64_t v) { return std::to_chars(p, p + kIntChars, v).ptr; }
+
 // Fixed-format double for CSV cells: deterministic across platforms for the
 // integer-derived percentile estimates we emit, and trailing-zero-trimmed so
 // the common integral case reads cleanly.
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  int len = std::snprintf(buf, sizeof(buf), "%.4f", v);
-  while (len > 0 && buf[len - 1] == '0') {
-    --len;
+char* PutPercentile(char* p, double v) {
+  if (!std::signbit(v) && v < 0x1p63 && v == std::trunc(v)) {
+    return PutInt(p, static_cast<int64_t>(v));  // "%.4f" trimmed to its integer
   }
-  if (len > 0 && buf[len - 1] == '.') {
-    --len;
+  char* end = std::to_chars(p, p + kPercentileChars, v, std::chars_format::fixed, 4).ptr;
+  while (end > p && end[-1] == '0') {
+    --end;
   }
-  out->append(buf, static_cast<size_t>(len));
+  if (end > p && end[-1] == '.') {
+    --end;
+  }
+  return end;
 }
 
-void AppendInt(std::string* out, int64_t v) {
-  char buf[32];
-  const int len = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out->append(buf, static_cast<size_t>(len));
+char* Put(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
 }
 
 }  // namespace
@@ -53,107 +75,91 @@ int TimeSeriesRecorder::AddScope(const std::string& name, Simulator* sim,
   return static_cast<int>(scopes_.size()) - 1;
 }
 
-void TimeSeriesRecorder::SampleCounter(int scope, const std::string& metric) {
+void TimeSeriesRecorder::AddSource(int scope, const std::string& metric, Source src) {
   BSCHED_CHECK(!started_);
+  Scope& s = *scopes_.at(scope);
+  const bool sketch = src.kind == Source::Kind::kSketch;
+  const char* kind = sketch                                 ? "sketch,,"
+                     : src.kind == Source::Kind::kCounter ? "counter,"
+                     : src.kind == Source::Kind::kGauge   ? "gauge,"
+                                                          : "probe,";
+  src.prefix = "," + s.name + "," + metric + "," + kind;
+  s.words_per_tick += sketch ? kSketchWords : 1;
+  s.sources.push_back(std::move(src));
+}
+
+void TimeSeriesRecorder::SampleCounter(int scope, const std::string& metric) {
   Source src;
   src.kind = Source::Kind::kCounter;
-  src.name = metric;
   src.counter = registry_->counter(metric);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  AddSource(scope, metric, std::move(src));
 }
 
 void TimeSeriesRecorder::SampleGauge(int scope, const std::string& metric) {
-  BSCHED_CHECK(!started_);
   Source src;
   src.kind = Source::Kind::kGauge;
-  src.name = metric;
   src.gauge = registry_->gauge(metric);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  AddSource(scope, metric, std::move(src));
 }
 
 void TimeSeriesRecorder::SampleSketch(int scope, const std::string& metric) {
-  BSCHED_CHECK(!started_);
   Source src;
   src.kind = Source::Kind::kSketch;
-  src.name = metric;
   src.hist = registry_->histogram(metric);
-  src.last_buckets.assign(Histogram::kNumBuckets, 0);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  AddSource(scope, metric, std::move(src));
 }
 
 void TimeSeriesRecorder::SampleProbe(int scope, const std::string& metric,
                                      std::function<int64_t()> probe) {
-  BSCHED_CHECK(!started_);
   BSCHED_CHECK(probe != nullptr);
   Source src;
   src.kind = Source::Kind::kProbe;
-  src.name = metric;
   src.probe = std::move(probe);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  AddSource(scope, metric, std::move(src));
 }
 
 void TimeSeriesRecorder::SampleScope(Scope* scope) {
-  Tick tick;
-  tick.time_ns = scope->sim->Now().nanos();
-  std::string& rows = tick.rows;
+  scope->times.push_back(scope->sim->Now().nanos());
+  const size_t base = scope->samples.size();
+  scope->samples.resize(base + scope->words_per_tick);
+  int64_t* word = scope->samples.data() + base;
   for (Source& src : scope->sources) {
-    AppendInt(&rows, tick.time_ns);
-    rows += ',';
-    rows += scope->name;
-    rows += ',';
-    rows += src.name;
-    rows += ',';
     switch (src.kind) {
       case Source::Kind::kCounter:
-        rows += "counter,";
-        AppendInt(&rows, static_cast<int64_t>(src.counter->value()));
-        rows += ",,,,,";
+        *word++ = static_cast<int64_t>(src.counter->value());
         break;
       case Source::Kind::kGauge:
-        rows += "gauge,";
-        AppendInt(&rows, src.gauge->value());
-        rows += ",,,,,";
+        *word++ = src.gauge->value();
         break;
       case Source::Kind::kProbe:
-        rows += "probe,";
-        AppendInt(&rows, src.probe());
-        rows += ",,,,,";
+        *word++ = src.probe();
         break;
       case Source::Kind::kSketch: {
         // Per-window delta of the histogram: the bucket counts that landed
         // since the previous tick form a mergeable sketch of this window's
         // observations. Sources are written only by this scope's simulator
         // thread, so relaxed loads here are exact, not racy estimates.
-        HistogramSnapshot window;
+        uint64_t window[Histogram::kNumBuckets] = {};
+        uint64_t count = 0;
         for (int i = 0; i < Histogram::kNumBuckets; ++i) {
           const uint64_t cur = src.hist->bucket_count(i);
-          const uint64_t delta = cur - src.last_buckets[i];
+          window[i] = cur - src.last_buckets[i];
           src.last_buckets[i] = cur;
-          if (delta > 0) {
-            window.buckets.emplace_back(i, delta);
-            window.count += delta;
-          }
+          count += window[i];
         }
         const int64_t cur_sum = src.hist->sum();
-        window.sum = cur_sum - src.last_sum;
+        double p[std::size(kTickPercentiles)] = {};
+        SketchPercentiles(window, count, kTickPercentiles, p);
+        *word++ = static_cast<int64_t>(count);
+        *word++ = cur_sum - src.last_sum;
         src.last_sum = cur_sum;
-        const std::vector<double> p = window.Percentiles({50.0, 95.0, 99.0});
-        rows += "sketch,,";
-        AppendInt(&rows, static_cast<int64_t>(window.count));
-        rows += ',';
-        AppendInt(&rows, window.sum);
-        rows += ',';
-        AppendDouble(&rows, p[0]);
-        rows += ',';
-        AppendDouble(&rows, p[1]);
-        rows += ',';
-        AppendDouble(&rows, p[2]);
+        for (const double v : p) {
+          *word++ = std::bit_cast<int64_t>(v);
+        }
         break;
       }
     }
-    rows += '\n';
   }
-  scope->ticks.push_back(std::move(tick));
 }
 
 void TimeSeriesRecorder::Start() {
@@ -168,47 +174,105 @@ void TimeSeriesRecorder::Start() {
   }
 }
 
-void TimeSeriesRecorder::WriteCsv(std::ostream& os) const {
-  os << "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n";
+size_t TimeSeriesRecorder::MaxRowBytes(const Source& src) {
+  // time, prefix, then "value,,,,,\n" or "count,sum,p50,p95,p99\n".
+  const size_t values =
+      src.kind == Source::Kind::kSketch
+          ? 2 * kIntChars + 1 + std::size(kTickPercentiles) * (1 + kPercentileChars) + 1
+          : kIntChars + kScalarTail.size();
+  return kIntChars + src.prefix.size() + values;
+}
+
+void TimeSeriesRecorder::FormatCsv(std::ostream* os, std::string* out) const {
+  size_t max_row = 0;
+  for (const auto& scope : scopes_) {
+    for (const Source& src : scope->sources) {
+      max_row = std::max(max_row, MaxRowBytes(src));
+    }
+  }
+  // A row starts only below kChunkBytes, so the tail room always fits it.
+  std::string chunk(kChunkBytes + max_row, '\0');
+  char* const begin = chunk.data();
+  char* p = Put(begin, kHeader);
+  const auto spill = [&] {
+    if (os != nullptr) {
+      os->write(begin, p - begin);
+    } else {
+      out->append(begin, p);
+    }
+    p = begin;
+  };
   // Merge per-scope series in fixed (time, scope) order — the same ordering
   // discipline the shard coordinator uses — so the merged stream is
   // independent of which thread recorded which scope and of the shard count.
-  struct Ref {
-    int64_t time_ns;
-    size_t scope;
-    size_t tick;
-  };
-  std::vector<Ref> refs;
-  for (size_t si = 0; si < scopes_.size(); ++si) {
-    const Scope& scope = *scopes_[si];
-    for (size_t ti = 0; ti < scope.ticks.size(); ++ti) {
-      refs.push_back(Ref{scope.ticks[ti].time_ns, si, ti});
+  // Scopes tick on one cadence, so this walks them time-major: each step
+  // takes the earliest pending tick, the lowest scope on a tie.
+  std::vector<size_t> next(scopes_.size(), 0);
+  for (;;) {
+    const Scope* scope = nullptr;
+    size_t* cursor = nullptr;
+    for (size_t si = 0; si < scopes_.size(); ++si) {
+      const Scope& s = *scopes_[si];
+      if (next[si] < s.times.size() &&
+          (scope == nullptr || s.times[next[si]] < scope->times[*cursor])) {
+        scope = &s;
+        cursor = &next[si];
+      }
+    }
+    if (scope == nullptr) {
+      break;
+    }
+    const size_t tick = (*cursor)++;
+    char time_text[kIntChars] = {};
+    const char* time_end = PutInt(time_text, scope->times[tick]);
+    const std::string_view time(time_text, static_cast<size_t>(time_end - time_text));
+    const int64_t* word = scope->samples.data() + tick * scope->words_per_tick;
+    for (const Source& src : scope->sources) {
+      if (static_cast<size_t>(p - begin) >= kChunkBytes) {
+        spill();
+      }
+      p = Put(p, time);
+      p = Put(p, src.prefix);
+      if (src.kind == Source::Kind::kSketch) {
+        p = PutInt(p, word[0]);
+        *p++ = ',';
+        p = PutInt(p, word[1]);
+        for (size_t i = 0; i < std::size(kTickPercentiles); ++i) {
+          *p++ = ',';
+          p = PutPercentile(p, std::bit_cast<double>(word[2 + i]));
+        }
+        *p++ = '\n';
+        word += kSketchWords;
+      } else {
+        p = PutInt(p, *word++);
+        p = Put(p, kScalarTail);
+      }
     }
   }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.time_ns != b.time_ns) {
-      return a.time_ns < b.time_ns;
-    }
-    if (a.scope != b.scope) {
-      return a.scope < b.scope;
-    }
-    return a.tick < b.tick;
-  });
-  for (const Ref& ref : refs) {
-    os << scopes_[ref.scope]->ticks[ref.tick].rows;
-  }
+  spill();
 }
 
+void TimeSeriesRecorder::WriteCsv(std::ostream& os) const { FormatCsv(&os, nullptr); }
+
 std::string TimeSeriesRecorder::ToCsv() const {
-  std::ostringstream os;
-  WriteCsv(os);
-  return os.str();
+  // Reserve an upper bound so the text is built in place, without regrowth
+  // copies; the untouched tail of a large reservation costs no memory.
+  size_t bound = kHeader.size();
+  for (const auto& scope : scopes_) {
+    for (const Source& src : scope->sources) {
+      bound += scope->times.size() * MaxRowBytes(src);
+    }
+  }
+  std::string csv;
+  csv.reserve(bound);
+  FormatCsv(nullptr, &csv);
+  return csv;
 }
 
 uint64_t TimeSeriesRecorder::total_ticks() const {
   uint64_t total = 0;
   for (const auto& scope : scopes_) {
-    total += scope->ticks.size();
+    total += scope->times.size();
   }
   return total;
 }

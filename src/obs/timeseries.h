@@ -1,9 +1,8 @@
 // Sim-time metrics sampling pipeline: a TimeSeriesRecorder registered
-// against a MetricsRegistry snapshots selected counters, gauges and log2
-// quantile sketches on a fixed simulated-time cadence, producing the
+// against a MetricsRegistry snapshots selected counters, gauges, probes and
+// log2 quantile sketches on a fixed simulated-time cadence, producing the
 // windowed runtime signals (queueing delay, credit occupancy, straggler
-// spread *during* a run) the online auto-configuration controller consumes
-// (ROADMAP item 3).
+// spread *during* a run) that partition and credit tuning reads.
 //
 // Sampling is driven by ordinary Simulator timer events, grouped into
 // *scopes*: each scope binds to one simulator and samples only metrics that
@@ -11,10 +10,17 @@
 // NIC links and GPU). Under the sharded parallel-DES coordinator every
 // scope's tick chain therefore runs on the shard thread that owns its
 // sources — relaxed atomic reads observe writes made by the same thread, so
-// the sampled values are exact and shard-count-invariant. Per-scope series
-// are merged in fixed (time, scope) order at export, the same discipline
-// shard_coordinator uses for cross-shard messages, which makes the CSV
-// byte-identical at any --shards K and any --jobs N.
+// the sampled values are exact and shard-count-invariant.
+//
+// A tick stores numbers, not text: each scope appends its tick time and one
+// fixed-width group of 64-bit sample words per tick (one word per counter,
+// gauge or probe; five per sketch — the window's count and sum and its
+// p50/p95/p99 as bit-cast doubles, computed in closed form by
+// SketchPercentiles). Apart from the amortised growth of those two vectors a
+// tick allocates nothing. The CSV text is produced once, at export: the
+// per-scope series are merged in fixed (time, scope) order, the same
+// discipline shard_coordinator uses for cross-shard messages, which makes
+// the CSV byte-identical at any --shards K and any --jobs N.
 //
 // Zero-cost when disabled: a job with no recorder schedules no tick events
 // and the simulation is bit-identical to a build without this file. An
@@ -24,6 +30,7 @@
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -80,6 +87,7 @@ class TimeSeriesRecorder {
   //   time_ns,scope,metric,kind,value,count,sum,p50,p95,p99
   // Counter/gauge/probe rows fill `value`; sketch rows fill the window
   // aggregate columns. Byte-deterministic for deterministic simulations.
+  // WriteCsv streams the text in bounded chunks; ToCsv returns the same bytes.
   void WriteCsv(std::ostream& os) const;
   std::string ToCsv() const;
 
@@ -90,20 +98,16 @@ class TimeSeriesRecorder {
   struct Source {
     enum class Kind { kCounter, kGauge, kSketch, kProbe };
     Kind kind;
-    std::string name;
+    // Constant text between a row's time and its values:
+    // ",scope,metric,kind," (plus the empty value cell for sketches).
+    std::string prefix;
     const Counter* counter = nullptr;
     const Gauge* gauge = nullptr;
     const Histogram* hist = nullptr;
     std::function<int64_t()> probe;
     // Sketch window state: per-bucket counts and sum as of the previous tick.
-    std::vector<uint64_t> last_buckets;
+    std::array<uint64_t, Histogram::kNumBuckets> last_buckets{};
     int64_t last_sum = 0;
-  };
-
-  // One sampled row group: every source's formatted CSV rows for one tick.
-  struct Tick {
-    int64_t time_ns = 0;
-    std::string rows;
   };
 
   struct Scope {
@@ -111,12 +115,22 @@ class TimeSeriesRecorder {
     Simulator* sim = nullptr;
     std::function<bool()> active;
     std::vector<Source> sources;
+    // Sample words per tick: the sum of the sources' widths.
+    size_t words_per_tick = 0;
     // Appended only from the scope's own simulator thread; read at export
-    // after the run joined.
-    std::vector<Tick> ticks;
+    // after the run joined. samples holds words_per_tick words per tick, in
+    // source order.
+    std::vector<int64_t> times;
+    std::vector<int64_t> samples;
   };
 
+  void AddSource(int scope, const std::string& metric, Source src);
   void SampleScope(Scope* scope);
+  // Upper bound on the bytes of one formatted row of `src`.
+  static size_t MaxRowBytes(const Source& src);
+  // Formats the merged CSV; with `os` set, spills each full chunk there,
+  // otherwise accumulates the whole text in `*out`.
+  void FormatCsv(std::ostream* os, std::string* out) const;
 
   MetricsRegistry* registry_;
   SimTime interval_;

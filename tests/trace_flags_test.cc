@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -207,6 +208,38 @@ TEST(ObsFlagsTest, ObsKeepsExplicitPaths) {
   const ObsFlags obs = ParseObsFlags(Flags(3, argv));
   EXPECT_EQ(obs.trace_path, "custom.json");
   EXPECT_EQ(obs.metrics_path, "metrics.json");
+}
+
+TEST(ObsFlagsTest, SampleEveryAloneImpliesTimeseries) {
+  const char* argv[] = {"prog", "--sample-every", "50"};
+  const ObsFlags obs = ParseObsFlags(Flags(3, argv));
+  EXPECT_TRUE(obs.error.empty());
+  EXPECT_EQ(obs.timeseries_path, "timeseries.csv");
+  EXPECT_EQ(obs.sample_every_us, 50);
+}
+
+TEST(ObsFlagsTest, TimeseriesDefaultsTo100us) {
+  const char* argv[] = {"prog", "--timeseries=/tmp/ts.csv"};
+  const ObsFlags obs = ParseObsFlags(Flags(2, argv));
+  EXPECT_TRUE(obs.error.empty());
+  EXPECT_EQ(obs.timeseries_path, "/tmp/ts.csv");
+  EXPECT_EQ(obs.sample_every_us, 100);
+}
+
+TEST(ObsFlagsTest, RejectsNonPositiveSampleEvery) {
+  // Each used to fall back to 100us, or (alone) to switch sampling off.
+  const std::vector<std::vector<const char*>> cases = {
+      {"prog", "--sample-every", "-5"},
+      {"prog", "--sample-every=0"},
+      {"prog", "--timeseries", "--sample-every=0"},
+      {"prog", "--obs", "--sample-every=-100"},
+      {"prog", "--sample-every=fast"},
+      {"prog", "--sample-every"},
+  };
+  for (const auto& argv : cases) {
+    const ObsFlags obs = ParseObsFlags(Flags(static_cast<int>(argv.size()), argv.data()));
+    EXPECT_NE(obs.error.find("--sample-every"), std::string::npos) << argv.back();
+  }
 }
 
 TEST(PerLayerPartitionTest, OverridesUniformSize) {
