@@ -47,18 +47,16 @@
 // The gate defaults assume reasonably quiet hardware; CI on oversubscribed
 // single-core containers passes wider values (see bench/CMakeLists.txt).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "bench/churn.h"
 #include "bench/harness.h"
 #include "bench/link_churn.h"
@@ -67,20 +65,6 @@
 #include "src/model/zoo.h"
 #include "src/obs/json_lite.h"
 #include "src/sim/simulator.h"
-
-// Global allocation counter behind the allocation guard (array forms route
-// through these by default).
-std::atomic<uint64_t> g_allocations{0};
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace bsched {
 namespace {
