@@ -203,6 +203,47 @@ TEST(TrajectoryPinTest, MetricsAndTraceOn) {
   EXPECT_EQ(Fnv1a(metrics_json.str()), 53037998254880850ull);
 }
 
+// Chrome-trace pins for the track kinds the ByteScheduler PS job above does
+// not reach: the NCCL ring track with GPU and comm spans, the faults/plan
+// spans, injected-fault instants and retries of a chaos run, and the TF PS
+// path, whose pulls are separate tasks admitted after the step barrier that
+// look up and continue their push's flow. Recorded before the trace
+// recorder stored numeric records and formatted at export.
+TEST(TrajectoryPinTest, TraceExports) {
+  struct TracePin {
+    std::string name;
+    JobConfig job;
+    uint64_t events;
+    uint64_t trace_fnv;
+  };
+  const std::vector<TracePin> pins = {
+      {"nccl_rdma_bytescheduler",
+       Job(Vgg16(), Setup::MxnetNcclRdma(), 4, 25, SchedMode::kByteScheduler), 420,
+       15934823659402064788ull},
+      {"chaos1_bytescheduler",
+       Chaos(Job(Vgg16(), Setup::MxnetPsRdma(), 2, 100, SchedMode::kByteScheduler), 1), 15633,
+       12261621011132006074ull},
+      {"tf_tcp_vanilla", Job(Vgg16(), Setup::TensorFlowPsTcp(), 2, 25, SchedMode::kVanilla), 1704,
+       13811954293779470487ull},
+  };
+  for (const TracePin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    TraceRecorder trace;
+    JobConfig job = pin.job;
+    job.trace = &trace;
+    RunTrainingJob(job);
+    std::ostringstream json;
+    trace.WriteChromeTrace(json);
+    const uint64_t fnv = Fnv1a(json.str());
+    if (trace.num_events() != pin.events || fnv != pin.trace_fnv) {
+      std::printf("TRACE PIN %s %zu, %lluull\n", pin.name.c_str(), trace.num_events(),
+                  static_cast<unsigned long long>(fnv));
+    }
+    EXPECT_EQ(trace.num_events(), pin.events);
+    EXPECT_EQ(fnv, pin.trace_fnv);
+  }
+}
+
 // Exported-artifact pins for the sampling pipeline: the time-series CSV, its
 // tick count and the metrics CSV (whose p50/p95/p99 columns come from the
 // log2 sketch), recorded before the recorder stored numeric samples and
