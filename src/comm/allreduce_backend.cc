@@ -3,9 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/common/check.h"
 #include "src/obs/obs.h"
 
@@ -36,6 +33,15 @@ AllReduceBackend::AllReduceBackend(Simulator* sim, const AllReduceConfig& config
   BSCHED_CHECK(config_.num_workers >= 1);
   if (config_.faults != nullptr) {
     ring_site_hash_ = FaultPlan::HashSite("ring");
+  }
+  if (config_.obs != nullptr && config_.obs->tracing()) {
+    TraceRecorder* trace = config_.obs->trace();
+    trace_ids_.ring = trace->Intern("ring");
+    trace_ids_.layer_stem = trace->Intern("L");
+    trace_ids_.part_sep = trace->Intern(".p");
+    trace_ids_.ring_done = trace->Intern("ring_done");
+    trace_ids_.bytes = trace->Intern("bytes");
+    trace_ids_.layer = trace->Intern("layer");
   }
 }
 
@@ -74,12 +80,6 @@ void AllReduceBackend::Start(const SubCommTask& subtask, Callback on_finish) {
   }
   // The launch/negotiation phase runs host-side, concurrently with whatever
   // the ring is currently transferring; the ring pass itself serializes.
-  if (getenv("BSCHED_DEBUG_RING") != nullptr) {
-    std::fprintf(stderr, "ring op layer=%d bytes=%lld wait=%s ring=%s W=%d rate=%.1fGbps\n",
-                 subtask.layer, static_cast<long long>(subtask.bytes), wait.ToString().c_str(),
-                 RingTime(subtask.bytes).ToString().c_str(), config_.num_workers,
-                 config_.transport.EffectiveRate(config_.link_rate).ToGbps());
-  }
   const uint32_t op = ops_.Acquire();
   ops_[op] = Op{subtask.bytes, subtask.layer, subtask.partition, subtask.flow, SimTime(),
                 std::move(on_finish)};
@@ -104,11 +104,12 @@ void AllReduceBackend::OnRingDone(uint32_t op) {
   Op& o = ops_[op];
   const SimTime end = sim_->Now();
   TraceRecorder* trace = config_.obs->trace();
-  trace->AddSpan("ring", "L" + std::to_string(o.layer) + ".p" + std::to_string(o.partition),
-                 end - o.ring_time, end,
-                 {TraceArg::Int("bytes", o.bytes), TraceArg::Int("layer", o.layer)});
+  const TraceIds& ids = trace_ids_;
+  trace->AddSpan(ids.ring,
+                 {.stem = ids.layer_stem, .sep = ids.part_sep, .a = o.layer, .b = o.partition},
+                 end - o.ring_time, end, {{ids.bytes, o.bytes}, {ids.layer, o.layer}});
   if (o.flow != 0) {
-    trace->AddFlow("ring", "ring_done", end, o.flow, FlowPhase::kStep);
+    trace->AddFlow(ids.ring, {.stem = ids.ring_done}, end, o.flow, FlowPhase::kStep);
   }
   Callback on_finish = std::move(o.on_finish);
   ops_.Release(op);

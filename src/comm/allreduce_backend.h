@@ -95,6 +95,17 @@ class AllReduceBackend : public CommBackend {
   std::unique_ptr<Resource> ring_;
   SlotPool<Op> ops_;
   uint64_t ring_site_hash_ = 0;
+  // Trace ids, resolved at construction when tracing: the "ring" track, the
+  // pieces of "L<layer>.p<k>", the ring_done flow point and the arg keys.
+  struct TraceIds {
+    TraceId ring = 0;
+    TraceId layer_stem = 0;
+    TraceId part_sep = 0;
+    TraceId ring_done = 0;
+    TraceId bytes = 0;
+    TraceId layer = 0;
+  };
+  TraceIds trace_ids_;
 };
 
 }  // namespace bsched

@@ -10,10 +10,6 @@
 namespace bsched {
 namespace {
 
-std::string PartName(int64_t tensor, int partition) {
-  return "t" + std::to_string(tensor) + ".p" + std::to_string(partition);
-}
-
 // Cross-shard channel kinds (see Chan()). One ordered stream per
 // (kind, source entity, destination entity).
 constexpr uint64_t kChanPushData = 1;   // worker uplink -> shard ingress
@@ -91,6 +87,30 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
     for (auto& link : ingresses_) link->SetObs(config_.obs);
     for (auto& link : egresses_) link->SetObs(config_.obs);
   }
+  if (Tracing()) {
+    TraceRecorder* trace = config_.obs->trace();
+    TraceIds& ids = trace_ids_;
+    for (int w = 0; w < config_.num_workers; ++w) {
+      const std::string net = "net/worker" + std::to_string(w);
+      ids.up.push_back(trace->Intern(net + ".up"));
+      ids.down.push_back(trace->Intern(net + ".down"));
+    }
+    for (int s = 0; s < config_.num_shards; ++s) {
+      ids.shard.push_back(trace->Intern("ps/shard" + std::to_string(s)));
+    }
+    ids.tensor_stem = trace->Intern("t");
+    ids.part_sep = trace->Intern(".p");
+    ids.push = trace->Intern(".push");
+    ids.pull = trace->Intern(".pull");
+    ids.update = trace->Intern(".update");
+    ids.flush = trace->Intern("flush");
+    ids.arrive = trace->Intern("arrive");
+    ids.updated = trace->Intern("update");
+    ids.deliver = trace->Intern("deliver");
+    ids.bytes = trace->Intern("bytes");
+    ids.layer = trace->Intern("layer");
+    ids.shard_key = trace->Intern("shard");
+  }
   if (config_.dynamics != nullptr && config_.dynamics->enabled()) {
     const NetDynamicsConfig& dyn = *config_.dynamics;
     BSCHED_CHECK(dyn.racks <= 1 || config_.num_workers >= 1);
@@ -123,6 +143,14 @@ double PsBackend::MsgScale(int worker, int shard) const {
 
 bool PsBackend::Tracing() const {
   return config_.obs != nullptr && config_.obs->tracing();
+}
+
+TraceName PsBackend::PartTraceName(int64_t tensor, int partition, TraceId suffix) const {
+  return {.stem = trace_ids_.tensor_stem,
+          .sep = trace_ids_.part_sep,
+          .suffix = suffix,
+          .a = tensor,
+          .b = partition};
 }
 
 void PsBackend::Forward(int src, int dst, uint64_t channel, SimTime delay, EventFn fn) {
@@ -207,14 +235,16 @@ void PsBackend::OnPushFlushed(int worker) {
   const SubCommTask& subtask = flush.subtask;
   Simulator* wsim = WorkerSim(worker);
   if (Tracing()) {
-    const std::string track = "net/worker" + std::to_string(worker) + ".up";
+    const TraceIds& ids = trace_ids_;
     TraceRecorder* trace = config_.obs->trace();
-    trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".push", flush.submit,
-                   wsim->Now(),
-                   {TraceArg::Int("bytes", subtask.bytes), TraceArg::Int("layer", subtask.layer),
-                    TraceArg::Int("shard", flush.shard)});
+    trace->AddSpan(ids.up[worker], PartTraceName(subtask.tensor_id, subtask.partition, ids.push),
+                   flush.submit, wsim->Now(),
+                   {{ids.bytes, subtask.bytes},
+                    {ids.layer, subtask.layer},
+                    {ids.shard_key, flush.shard}});
     if (subtask.flow != 0) {
-      trace->AddFlow(track, "flush", wsim->Now(), subtask.flow, FlowPhase::kStep);
+      trace->AddFlow(ids.up[worker], {.stem = ids.flush}, wsim->Now(), subtask.flow,
+                     FlowPhase::kStep);
     }
   }
   if (config_.faults != nullptr && flush.round != 0) {
@@ -307,13 +337,13 @@ void PsBackend::RecordUpdateSpan(int shard, int64_t tensor, int partition, uint6
   if (!Tracing()) {
     return;
   }
-  const std::string track = "ps/shard" + std::to_string(shard);
+  const TraceIds& ids = trace_ids_;
   const SimTime end = sim_->Now();
   TraceRecorder* trace = config_.obs->trace();
-  trace->AddSpan(track, PartName(tensor, partition) + ".update", end - update_time, end,
-                 {TraceArg::Int("shard", shard)});
+  trace->AddSpan(ids.shard[shard], PartTraceName(tensor, partition, ids.update),
+                 end - update_time, end, {{ids.shard_key, shard}});
   if (flow != 0) {
-    trace->AddFlow(track, "update", end, flow, FlowPhase::kStep);
+    trace->AddFlow(ids.shard[shard], {.stem = ids.updated}, end, flow, FlowPhase::kStep);
   }
 }
 
@@ -381,8 +411,8 @@ void PsBackend::OnPushArrived(const PushMsg& msg) {
     }
   }
   if (Tracing() && msg.flow != 0) {
-    config_.obs->trace()->AddFlow("ps/shard" + std::to_string(shard), "arrive", sim_->Now(),
-                                  msg.flow, FlowPhase::kStep);
+    config_.obs->trace()->AddFlow(trace_ids_.shard[shard], {.stem = trace_ids_.arrive},
+                                  sim_->Now(), msg.flow, FlowPhase::kStep);
   }
   const SimTime update_time = ScaledUpdateTime(shard, msg.bytes);
   if (config_.synchronous) {
@@ -492,12 +522,13 @@ void PsBackend::FinishPull(int worker, uint32_t leg, Bytes bytes, SimTime submit
   PullLeg& pull = pulls_[worker][leg];
   if (Tracing()) {
     const SubCommTask& subtask = pull.subtask;
-    const std::string track = "net/worker" + std::to_string(worker) + ".down";
+    const TraceIds& ids = trace_ids_;
     TraceRecorder* trace = config_.obs->trace();
-    trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".pull", submit,
-                   sim_->Now(), {TraceArg::Int("bytes", bytes)});
+    trace->AddSpan(ids.down[worker], PartTraceName(subtask.tensor_id, subtask.partition, ids.pull),
+                   submit, sim_->Now(), {{ids.bytes, bytes}});
     if (subtask.flow != 0) {
-      trace->AddFlow(track, "deliver", sim_->Now(), subtask.flow, FlowPhase::kStep);
+      trace->AddFlow(ids.down[worker], {.stem = ids.deliver}, sim_->Now(), subtask.flow,
+                     FlowPhase::kStep);
     }
   }
   Callback on_finish = std::move(pull.on_finish);

@@ -298,6 +298,8 @@ class PsBackend : public CommBackend {
   };
 
   bool Tracing() const;
+  // "t<tensor>.p<partition><suffix>".
+  TraceName PartTraceName(int64_t tensor, int partition, TraceId suffix) const;
   bool Sharded() const { return config_.coord != nullptr; }
   // Simulated clock of the entity (worker NIC stack / shard CPU) hosting the
   // current callback; in serial mode both are the single shared Simulator.
@@ -374,6 +376,18 @@ class PsBackend : public CommBackend {
   // Per-worker AIMD controllers on the uplinks (empty unless dynamics with
   // aimd.enable); each runs on its worker's simulator.
   std::vector<std::unique_ptr<RateController>> rate_ctrl_;
+  // Trace ids, resolved at construction when tracing.
+  struct TraceIds {
+    std::vector<TraceId> up;     // "net/worker<w>.up" per worker
+    std::vector<TraceId> down;   // "net/worker<w>.down" per worker
+    std::vector<TraceId> shard;  // "ps/shard<s>" per shard
+    TraceId tensor_stem = 0;     // "t"
+    TraceId part_sep = 0;        // ".p"
+    TraceId push = 0, pull = 0, update = 0;                // span name suffixes
+    TraceId flush = 0, arrive = 0, updated = 0, deliver = 0;  // flow point names
+    TraceId bytes = 0, layer = 0, shard_key = 0;           // arg keys
+  };
+  TraceIds trace_ids_;
 };
 
 }  // namespace bsched

@@ -24,6 +24,7 @@
 #ifndef SRC_CORE_SCHEDULER_CORE_H_
 #define SRC_CORE_SCHEDULER_CORE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -31,6 +32,7 @@
 
 #include "src/comm/backend.h"
 #include "src/common/ring_queue.h"
+#include "src/common/trace.h"
 #include "src/core/comm_task.h"
 #include "src/sim/simulator.h"
 
@@ -114,6 +116,9 @@ class SchedulerCore {
     std::vector<uint64_t> flows;
     // Timeout watch per partition (recovery only).
     std::vector<Watch> watches;
+    // Interned desc.name (tracing only); 0 for an unnamed task, whose trace
+    // names use "L<layer>".
+    TraceId trace_stem = 0;
     int partitions_finished = 0;
     bool live = false;
 
@@ -175,7 +180,21 @@ class SchedulerCore {
   Simulator* sim_;
   FaultInjector* faults_;
   ObsContext* obs_;
-  std::string track_;  // trace track name ("sched/w<id>")
+  // Trace ids, resolved at construction when tracing.
+  struct TraceIds {
+    TraceId track = 0;       // "sched/w<id>"
+    TraceId layer_stem = 0;  // "L", the stem of unnamed tasks
+    TraceId part_sep = 0;    // ".p"
+    TraceId finish = 0;
+    // Name suffixes ".<type>.wait", ".<type>.credit_wait", ".<type>.admit"
+    // by CommOpType.
+    std::array<TraceId, 3> wait{};
+    std::array<TraceId, 3> credit_wait{};
+    std::array<TraceId, 3> admit{};
+    // Arg keys of the wait spans.
+    TraceId layer = 0, partition = 0, bytes = 0, attempt = 0, charged = 0;
+  };
+  TraceIds trace_ids_;
   // Cached metric handles (null when metrics are off).
   Histogram* m_queue_depth_ = nullptr;
   Histogram* m_credit_in_use_ = nullptr;

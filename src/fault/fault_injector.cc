@@ -1,7 +1,9 @@
 #include "src/fault/fault_injector.h"
 
 #include <cmath>
+#include <cstdio>
 #include <mutex>
+#include <string_view>
 
 #include "src/common/check.h"
 
@@ -30,14 +32,25 @@ FaultInjector::FaultInjector(const FaultPlanConfig& config, Simulator* sim, Trac
   if (trace_ == nullptr) {
     return;
   }
+  const TraceId plan = trace_->Intern("faults/plan");
+  injected_track_ = trace_->Intern("faults/injected");
+  recovery_track_ = trace_->Intern("faults/recovery");
+  drop_name_ = trace_->Intern("drop");
+  straggler_name_ = trace_->Intern("straggler w");
+  shard_slow_name_ = trace_->Intern("shard_slow s");
   for (const FaultEpisode& ep : plan_.episodes()) {
-    trace_->AddSpan("faults/plan", ToString(ep.kind), ep.start, ep.end);
+    trace_->AddSpan(plan, {.stem = trace_->Intern(ToString(ep.kind))}, ep.start, ep.end);
   }
 }
 
-void FaultInjector::Instant(const std::string& track, const std::string& name) {
+void FaultInjector::RecoveryInstant(const char* what, int worker, int layer, int partition,
+                                    int attempt) {
   if (trace_ != nullptr) {
-    trace_->AddInstant(track, name, sim_->Now());
+    char name[96];
+    const int n = std::snprintf(name, sizeof(name), "%s w%d L%d.p%d #%d", what, worker, layer,
+                                partition, attempt);
+    trace_->AddInstant(recovery_track_, std::string_view(name, static_cast<size_t>(n)),
+                       sim_->Now());
   }
 }
 
@@ -49,14 +62,18 @@ FaultInjector::MessageFault FaultInjector::OnMessageSend(uint64_t site_hash, Sim
   if (plan_.DropMessage(site_hash, msg_index, now)) {
     fate.drop = true;
     ++stats_.drops_injected;
-    Instant("faults/injected", "drop");
+    if (trace_ != nullptr) {
+      trace_->AddInstant(injected_track_, {.stem = drop_name_}, sim_->Now());
+    }
     return fate;
   }
   fate.delay = plan_.ExtraLatency(site_hash, now);
   if (fate.delay.nanos() > 0) {
     ++stats_.delays_injected;
     stats_.delay_injected_total += fate.delay;
-    Instant("faults/injected", "delay+" + fate.delay.ToString());
+    if (trace_ != nullptr) {
+      trace_->AddInstant(injected_track_, "delay+" + fate.delay.ToString(), sim_->Now());
+    }
   }
   return fate;
 }
@@ -68,7 +85,9 @@ SimTime FaultInjector::ScaleCompute(int worker, SimTime duration, SimTime now) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.compute_slowdowns;
-  Instant("faults/injected", "straggler w" + std::to_string(worker));
+  if (trace_ != nullptr) {
+    trace_->AddInstant(injected_track_, {.stem = straggler_name_, .a = worker}, sim_->Now());
+  }
   return SimTime(static_cast<int64_t>(static_cast<double>(duration.nanos()) * factor));
 }
 
@@ -79,7 +98,9 @@ SimTime FaultInjector::ScaleShard(int shard, SimTime duration, SimTime now) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.shard_slowdowns;
-  Instant("faults/injected", "shard_slow s" + std::to_string(shard));
+  if (trace_ != nullptr) {
+    trace_->AddInstant(injected_track_, {.stem = shard_slow_name_, .a = shard}, sim_->Now());
+  }
   return SimTime(static_cast<int64_t>(static_cast<double>(duration.nanos()) * factor));
 }
 
@@ -88,9 +109,7 @@ void FaultInjector::RecordCoreTimeout(int worker, int layer, int partition, int 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.core_timeouts;
   stats_.credit_restored += restored;
-  Instant("faults/recovery", "timeout w" + std::to_string(worker) + " L" + std::to_string(layer) +
-                                 ".p" + std::to_string(partition) + " #" +
-                                 std::to_string(attempt));
+  RecoveryInstant("timeout", worker, layer, partition, attempt);
 }
 
 void FaultInjector::RecordCoreRetry() {
@@ -111,9 +130,7 @@ void FaultInjector::RecordAbandon() {
 void FaultInjector::RecordBackendRetransmit(int worker, int layer, int partition, int attempt) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.backend_retransmits;
-  Instant("faults/recovery", "retransmit w" + std::to_string(worker) + " L" +
-                                 std::to_string(layer) + ".p" + std::to_string(partition) + " #" +
-                                 std::to_string(attempt));
+  RecoveryInstant("retransmit", worker, layer, partition, attempt);
 }
 
 }  // namespace bsched

@@ -84,11 +84,18 @@ class FaultInjector {
   std::string DebugString() const { return stats_.DebugString(); }
 
  private:
-  void Instant(const std::string& track, const std::string& name);
+  // "<what> w<worker> L<layer>.p<partition> #<attempt>" on faults/recovery.
+  void RecoveryInstant(const char* what, int worker, int layer, int partition, int attempt);
 
   FaultPlan plan_;  // immutable after construction; safe to read concurrently
   Simulator* sim_;
   TraceRecorder* trace_;
+  // Trace ids, resolved at construction when tracing.
+  TraceId injected_track_ = 0;
+  TraceId recovery_track_ = 0;
+  TraceId drop_name_ = 0;
+  TraceId straggler_name_ = 0;
+  TraceId shard_slow_name_ = 0;
   // Counters are mutated from every shard's thread in sharded runs; mu_
   // serializes them. All increments are commutative sums, so totals stay
   // bit-identical at any shard count. Tracing stays serial-mode-only.

@@ -1,8 +1,6 @@
 #include "src/runtime/training_job.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -139,6 +137,9 @@ class TrainingJob {
 
   // Builds the substrate and launches the engines (events pending in sim).
   void Prepare() {
+    if (config_.trace != nullptr) {
+      ResolveTraceIds();
+    }
     BuildBackend();
     BuildCores();
     BuildWorkers();
@@ -153,14 +154,6 @@ class TrainingJob {
 
   // After the simulator drained: validate liveness and collect results.
   JobResult Finish() {
-    if (getenv("BSCHED_DEBUG_DEADLOCK") != nullptr) {
-      for (auto& core : cores_) {
-        std::fprintf(stderr, "%s\n", core->DebugString().c_str());
-      }
-      if (ps_ != nullptr) {
-        std::fprintf(stderr, "%s\n", ps_->DebugString().c_str());
-      }
-    }
     for (auto& engine : dag_engines_) {
       BSCHED_CHECK(engine->AllDone());
     }
@@ -366,14 +359,36 @@ class TrainingJob {
 
   // ---- shared plugin actions ----------------------------------------------
 
+  // Interns this job's trace tracks and name pieces.
+  void ResolveTraceIds() {
+    TraceRecorder* trace = config_.trace;
+    for (int w = 0; w < sim_workers_; ++w) {
+      const std::string worker = "worker" + std::to_string(w);
+      trace_ids_.gpu.push_back(trace->Intern(worker + "/gpu"));
+      trace_ids_.comm.push_back(trace->Intern(worker + "/comm"));
+    }
+    trace_ids_.fp = trace->Intern("f");
+    trace_ids_.bp = trace->Intern("b");
+    trace_ids_.op_sep = trace->Intern("_");
+    for (const Layer& layer : config_.model.layers) {
+      trace_ids_.layer.push_back(trace->Intern(layer.name));
+    }
+    trace_ids_.comm_suffix =
+        trace->Intern(config_.setup.arch == ArchType::kPs ? ".push+pull" : ".allreduce");
+  }
+
+  // Trace name "<f|b><iter>_<layer>" of a compute op (`stem` is fp or bp).
+  TraceName ComputeName(TraceId stem, int iter, int layer) const {
+    return {.stem = stem, .sep = trace_ids_.op_sep, .a = iter, .b = layer};
+  }
+
   // GPU compute op; optionally records a trace span and the BP-end timestamp
   // of iteration `bp_end_iter` (>= 0 only for each iteration's last BP op).
-  DagEngine::OpFn ComputeOp(int worker, SimTime duration, std::string name = "",
+  DagEngine::OpFn ComputeOp(int worker, SimTime duration, TraceName trace_name,
                             int bp_end_iter = -1) {
     Resource* gpu = gpus_[worker].get();
     Simulator* wsim = WorkerSim(worker);
-    return [this, gpu, wsim, worker, duration, name = std::move(name),
-            bp_end_iter](DagEngine::Done done) {
+    return [this, gpu, wsim, worker, duration, trace_name, bp_end_iter](DagEngine::Done done) {
       const SimTime queued_at = wsim->Now();
       SimTime effective = duration;
       if (faults_ != nullptr) {
@@ -382,14 +397,13 @@ class TrainingJob {
         // within a lookahead window).
         effective = faults_->ScaleCompute(worker, effective, wsim->Now());
       }
-      gpu->Submit(effective, [this, wsim, worker, queued_at, name, bp_end_iter,
+      gpu->Submit(effective, [this, wsim, worker, queued_at, trace_name, bp_end_iter,
                              done = std::move(done)] {
         if (bp_end_iter >= 0) {
           RecordBpEnd(worker, bp_end_iter, wsim->Now());
         }
         if (config_.trace != nullptr) {
-          config_.trace->AddSpan("worker" + std::to_string(worker) + "/gpu", name, queued_at,
-                                 wsim->Now());
+          config_.trace->AddSpan(trace_ids_.gpu[worker], trace_name, queued_at, wsim->Now());
         }
         done();
       });
@@ -536,12 +550,11 @@ class TrainingJob {
   void StartCommTensor(int worker, int layer, std::function<void()> on_done) {
     if (config_.trace != nullptr) {
       const SimTime start = sim_->Now();
-      const std::string track = "worker" + std::to_string(worker) + "/comm";
-      const std::string name =
-          config_.model.layers[layer].name +
-          (config_.setup.arch == ArchType::kPs ? ".push+pull" : ".allreduce");
-      on_done = [this, start, track, name, inner = std::move(on_done)] {
-        config_.trace->AddSpan(track, name, start, sim_->Now());
+      on_done = [this, start, worker, layer, inner = std::move(on_done)] {
+        config_.trace->AddSpan(
+            trace_ids_.comm[worker],
+            {.stem = trace_ids_.layer[layer], .suffix = trace_ids_.comm_suffix}, start,
+            sim_->Now());
         inner();
       };
     }
@@ -568,8 +581,9 @@ class TrainingJob {
       // Forward chain.
       std::vector<OpId> f(num_layers_);
       for (int i = 0; i < num_layers_; ++i) {
-        const std::string name = "f" + std::to_string(k) + "_" + std::to_string(i);
-        f[i] = dag.AddOp(name, ComputeOp(worker, model.layers[i].fp_time, name));
+        f[i] = dag.AddOp("f" + std::to_string(k) + "_" + std::to_string(i),
+                         ComputeOp(worker, model.layers[i].fp_time,
+                                   ComputeName(trace_ids_.fp, k, i)));
         if (i > 0) {
           dag.AddDep(f[i - 1], f[i]);
         }
@@ -603,10 +617,10 @@ class TrainingJob {
       // Backward chain.
       std::vector<OpId> b(num_layers_);
       for (int i = num_layers_ - 1; i >= 0; --i) {
-        const std::string name = "b" + std::to_string(k) + "_" + std::to_string(i);
         // The last BP op (layer 0) marks the iteration's BP end.
-        b[i] = dag.AddOp(name,
-                         ComputeOp(worker, model.layers[i].bp_time, name, i == 0 ? k : -1));
+        b[i] = dag.AddOp("b" + std::to_string(k) + "_" + std::to_string(i),
+                         ComputeOp(worker, model.layers[i].bp_time,
+                                   ComputeName(trace_ids_.bp, k, i), i == 0 ? k : -1));
         if (i == num_layers_ - 1) {
           dag.AddDep(f[num_layers_ - 1], b[i]);
         } else {
@@ -737,14 +751,16 @@ class TrainingJob {
 
     for (int k = 0; k < total_iters_; ++k) {
       for (int i = 0; i < num_layers_; ++i) {
-        const std::string name = "f" + std::to_string(k) + "_" + std::to_string(i);
-        eng.PostForward(i, name, ComputeOp(worker, model.layers[i].fp_time, name));
+        eng.PostForward(i, "f" + std::to_string(k) + "_" + std::to_string(i),
+                        ComputeOp(worker, model.layers[i].fp_time,
+                                  ComputeName(trace_ids_.fp, k, i)));
       }
       std::vector<OpId> comm_ops;
       for (int i = num_layers_ - 1; i >= 0; --i) {
-        const std::string name = "b" + std::to_string(k) + "_" + std::to_string(i);
-        OpId b_op = eng.PostBackward(
-            i, name, ComputeOp(worker, model.layers[i].bp_time, name, i == 0 ? k : -1));
+        OpId b_op = eng.PostBackward(i, "b" + std::to_string(k) + "_" + std::to_string(i),
+                                     ComputeOp(worker, model.layers[i].bp_time,
+                                               ComputeName(trace_ids_.bp, k, i),
+                                               i == 0 ? k : -1));
         if (!scheduled) {
           // Vanilla Horovod: background all-reduce launched in gradient-ready
           // order; the optimizer step below waits for all of them.
@@ -868,6 +884,17 @@ class TrainingJob {
   // jobs owning their substrate, see the ctor.
   ObsContext obs_storage_;
   ObsContext* obs_ = nullptr;
+  // Trace ids, resolved in Prepare() when tracing.
+  struct TraceIds {
+    std::vector<TraceId> gpu;   // "worker<w>/gpu" per simulated worker
+    std::vector<TraceId> comm;  // "worker<w>/comm" per simulated worker
+    // Compute op names "f<iter>_<layer>" and "b<iter>_<layer>".
+    TraceId fp = 0, bp = 0, op_sep = 0;
+    // Comm span names "<layer name><comm_suffix>".
+    std::vector<TraceId> layer;
+    TraceId comm_suffix = 0;
+  };
+  TraceIds trace_ids_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<PsBackend> owned_ps_;
   PsBackend* ps_ = nullptr;
