@@ -25,14 +25,6 @@ int64_t Histogram::BucketLowerBound(int index) {
   return int64_t{1} << (index - 1);
 }
 
-uint64_t Histogram::count() const {
-  uint64_t total = 0;
-  for (const auto& b : buckets_) {
-    total += b.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   for (int i = 0; i < kNumBuckets; ++i) {

@@ -69,7 +69,9 @@ struct HistogramSnapshot {
 // Fixed log2-bucket histogram over non-negative integer samples (bytes,
 // nanoseconds, queue depths). Bucket 0 holds v <= 0; bucket k (k >= 1) holds
 // v in [2^(k-1), 2^k - 1], i.e. the bit width of v. Observations are relaxed
-// atomic increments — no locks, no allocation.
+// atomic increments — no locks, no allocation. A running observation count,
+// bumped with the bucket, makes count() O(1): the time-series recorder
+// compares it across ticks to skip the bucket scan of an empty window.
 class Histogram {
  public:
   static constexpr int kNumBuckets = 64;
@@ -77,6 +79,7 @@ class Histogram {
   void Observe(int64_t v) {
     buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
   }
 
   static int BucketIndex(int64_t v) {
@@ -92,7 +95,7 @@ class Histogram {
   // Smallest value of `index`; bucket 0 has no meaningful lower bound.
   static int64_t BucketLowerBound(int index);
 
-  uint64_t count() const;
+  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t bucket_count(int index) const {
     return buckets_[index].load(std::memory_order_relaxed);
@@ -103,6 +106,7 @@ class Histogram {
  private:
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<int64_t> sum_{0};
+  std::atomic<uint64_t> count_{0};
 };
 
 // The percentile core behind HistogramSnapshot::Percentiles, over dense

@@ -139,6 +139,15 @@ void TimeSeriesRecorder::SampleScope(Scope* scope) {
         // since the previous tick form a mergeable sketch of this window's
         // observations. Sources are written only by this scope's simulator
         // thread, so relaxed loads here are exact, not racy estimates.
+        const uint64_t total = src.hist->count();
+        if (total == src.last_count) {
+          // Empty window: no bucket or the sum moved, and the full path
+          // below would write count 0, sum 0 and three 0.0 percentiles —
+          // all zero words.
+          word = std::fill_n(word, kSketchWords, int64_t{0});
+          break;
+        }
+        src.last_count = total;
         uint64_t window[Histogram::kNumBuckets] = {};
         uint64_t count = 0;
         for (int i = 0; i < Histogram::kNumBuckets; ++i) {

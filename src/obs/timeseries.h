@@ -17,10 +17,13 @@
 // gauge or probe; five per sketch — the window's count and sum and its
 // p50/p95/p99 as bit-cast doubles, computed in closed form by
 // SketchPercentiles). Apart from the amortised growth of those two vectors a
-// tick allocates nothing. The CSV text is produced once, at export: the
-// per-scope series are merged in fixed (time, scope) order, the same
-// discipline shard_coordinator uses for cross-shard messages, which makes
-// the CSV byte-identical at any --shards K and any --jobs N.
+// tick allocates nothing. A sketch whose histogram count (O(1), see
+// Histogram) has not moved since the previous tick — an empty window, common
+// at a 100 us cadence — writes the same five zero words without reading the
+// 64 buckets. The CSV text is produced once, at export: the per-scope
+// series are merged in fixed (time, scope) order, the same discipline
+// shard_coordinator uses for cross-shard messages, which makes the CSV
+// byte-identical at any --shards K and any --jobs N.
 //
 // Zero-cost when disabled: a job with no recorder schedules no tick events
 // and the simulation is bit-identical to a build without this file. An
@@ -105,9 +108,11 @@ class TimeSeriesRecorder {
     const Gauge* gauge = nullptr;
     const Histogram* hist = nullptr;
     std::function<int64_t()> probe;
-    // Sketch window state: per-bucket counts and sum as of the previous tick.
+    // Sketch window state: per-bucket counts, sum and observation count as
+    // of the previous tick.
     std::array<uint64_t, Histogram::kNumBuckets> last_buckets{};
     int64_t last_sum = 0;
+    uint64_t last_count = 0;
   };
 
   struct Scope {
