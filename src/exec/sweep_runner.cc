@@ -68,10 +68,17 @@ void SweepRunner::RunAll(size_t n, const std::function<void(size_t)>& fn) {
         });
   }
 
-  std::unique_lock<std::mutex> lock(shared->mu);
-  shared->cv.wait(lock, [&shared] { return shared->remaining == 0; });
+  std::vector<std::exception_ptr> errors;
+  {
+    std::unique_lock<std::mutex> lock(shared->mu);
+    shared->cv.wait(lock, [&shared] { return shared->remaining == 0; });
+    // Take every error onto this thread before rethrowing: a pool worker may
+    // still hold `shared` and drop its last reference after we return, and
+    // it must not be the thread that destroys an exception object.
+    errors.swap(shared->errors);
+  }
   // Lowest-index exception wins so propagation is deterministic.
-  for (const std::exception_ptr& error : shared->errors) {
+  for (const std::exception_ptr& error : errors) {
     if (error != nullptr) {
       std::rethrow_exception(error);
     }
