@@ -1,5 +1,7 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bsched {
@@ -41,14 +43,52 @@ std::string Flags::GetString(const std::string& name, const std::string& def) co
   return it != values_.end() ? it->second : def;
 }
 
+bool ParseInt(const std::string& text, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoll(text.c_str(), &end, 10);
+  return !text.empty() && end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+namespace {
+
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+[[noreturn]] void ExitInvalid(const std::string& name, const std::string& text, const char* what) {
+  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n", name.c_str(), text.c_str(),
+               what);
+  std::exit(2);
+}
+
+}  // namespace
+
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
-  return it != values_.end() ? std::strtoll(it->second.c_str(), nullptr, 10) : def;
+  if (it == values_.end()) {
+    return def;
+  }
+  int64_t value = 0;
+  if (!ParseInt(it->second, &value)) {
+    ExitInvalid(name, it->second, "an integer");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
-  return it != values_.end() ? std::strtod(it->second.c_str(), nullptr) : def;
+  if (it == values_.end()) {
+    return def;
+  }
+  double value = 0.0;
+  if (!ParseDouble(it->second, &value)) {
+    ExitInvalid(name, it->second, "a number");
+  }
+  return value;
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {
@@ -94,8 +134,8 @@ ObsFlags ParseObsFlags(const Flags& flags) {
   }
   // --sample-every alone implies time-series sampling at that cadence.
   if (flags.Has("sample-every")) {
-    obs.sample_every_us = flags.GetInt("sample-every", 0);
-    if (obs.sample_every_us <= 0) {
+    if (!ParseInt(flags.GetString("sample-every", ""), &obs.sample_every_us) ||
+        obs.sample_every_us <= 0) {
       obs.error = "--sample-every must be a positive number of microseconds, got '" +
                   flags.GetString("sample-every", "") + "'";
       return obs;

@@ -1,13 +1,22 @@
 // Tiny command-line flag parser for the example/bench executables.
 // Accepts --key=value and --key value; bare --key is a boolean true.
+// GetInt/GetDouble take the whole value or nothing: a malformed number
+// ("5x", "abc", an empty or out-of-range value) prints the flag and exits
+// with status 2 rather than running with a prefix of it. ParseInt is the
+// same check for callers that report errors themselves.
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace bsched {
+
+// Parses all of `text` as a base-10 integer; false on trailing text, no
+// digits or overflow.
+bool ParseInt(const std::string& text, int64_t* out);
 
 class Flags {
  public:
