@@ -452,5 +452,41 @@ TEST(ObsContextTest, FlowLifecycle) {
   EXPECT_EQ(obs.LookupPartitionFlow(0, 7, 2), 0u);
 }
 
+// The flow table grows past its first capacity and keeps every key distinct,
+// including keys that differ in one field only; closed flows stay closed.
+TEST(ObsContextTest, FlowTableKeepsManyPartitions) {
+  ObsContext obs;
+  EXPECT_EQ(obs.LookupPartitionFlow(0, 0, 0), 0u);
+  obs.EndPartitionFlow(0, 0, 0);  // no table yet: a no-op
+  std::vector<uint64_t> ids;
+  for (int w = 0; w < 4; ++w) {
+    for (int64_t t = 0; t < 40; ++t) {
+      for (int p = 0; p < 3; ++p) {
+        ids.push_back(obs.BeginPartitionFlow(w, t, p));
+      }
+    }
+  }
+  size_t i = 0;
+  for (int w = 0; w < 4; ++w) {
+    for (int64_t t = 0; t < 40; ++t) {
+      for (int p = 0; p < 3; ++p) {
+        ASSERT_EQ(obs.LookupPartitionFlow(w, t, p), ids[i++]) << w << " " << t << " " << p;
+        if ((w + t + p) % 2 == 0) {
+          obs.EndPartitionFlow(w, t, p);
+        }
+      }
+    }
+  }
+  i = 0;
+  for (int w = 0; w < 4; ++w) {
+    for (int64_t t = 0; t < 40; ++t) {
+      for (int p = 0; p < 3; ++p, ++i) {
+        EXPECT_EQ(obs.LookupPartitionFlow(w, t, p), (w + t + p) % 2 == 0 ? 0u : ids[i]);
+      }
+    }
+  }
+  EXPECT_EQ(obs.LookupPartitionFlow(4, 0, 0), 0u);
+}
+
 }  // namespace
 }  // namespace bsched
