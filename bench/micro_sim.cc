@@ -4,13 +4,13 @@
 // wall-clock of one reference figure sweep at --jobs 1 vs --jobs N, then
 // writes BENCH_sim.json so future PRs can compare against this baseline.
 //
-// The event-loop measurement runs the same workload on three engines:
-//  - the timer-wheel Simulator (the default production queue),
-//  - the binary-heap Simulator (QueuePolicy::kBinaryHeap, the differential
-//    baseline the wheel must never fall behind by more than 10%),
+// The event-loop measurement runs the same workload on two engines:
+//  - the Simulator (its flat binary-heap event queue),
 //  - LegacySimulator, an in-tree copy of the pre-pooling event loop
 //    (per-event std::function + shared_ptr<bool> token on a
 //    std::priority_queue), so speedups are measured, not asserted.
+// BENCH_sim.json also carries a fixed "before" row: the churn rate and
+// allocations per event of the 4x256 timer wheel the heap replaced.
 //
 // A shard-scaling section times one reference PS job under the sharded
 // coordinator at --shards 1/2/4/8 and records host_cpus alongside: on a
@@ -24,7 +24,7 @@
 // in steady state.
 //
 // When the output file from a previous run exists (or --baseline points at
-// one), the run fails if wheel churn throughput regressed more than 10%
+// one), the run fails if churn throughput regressed more than 10%
 // against it — this is the `ctest -L perf` regression gate.
 //
 // Flags: --jobs N          parallel sweep workers (default: hardware concurrency)
@@ -35,15 +35,14 @@
 //        --skip-sweep      measure the event loop only (quick smoke mode)
 //        --max-regression F       allowed churn slowdown vs baseline
 //                                 (default 0.10 — the >10% regression gate)
-//        --min-wheel-vs-heap F    wheel/heap churn floor (default 0.9)
-//        --max-allocs-per-event F  allocation-guard ceiling (default 0.1)
+//        --max-allocs-per-event F  allocation-guard ceiling (default 0.06)
 //        --max-idle-regression F  allowed link-churn slowdown of the
 //                                 enabled-but-idle RateModel path vs the
 //                                 static link path (default 0.03 — the
-//                                 dynamic fabric's zero-cost perf gate; a
-//                                 same-process ratio, so it tolerates much
-//                                 tighter bounds than the cross-process
-//                                 gates above)
+//                                 dynamic fabric's zero-cost perf gate; the
+//                                 median of alternating same-process pairs,
+//                                 so it tolerates much tighter bounds than
+//                                 the cross-process gate above)
 // The gate defaults assume reasonably quiet hardware; CI on oversubscribed
 // single-core containers passes wider values (see bench/CMakeLists.txt).
 #include <algorithm>
@@ -74,10 +73,12 @@ using bench::LegacySimulator;
 using bench::MeasureChurn;
 using bench::SecondsSince;
 
-// MeasureChurn default-constructs its Sim; this pins the non-default policy.
-struct HeapSimulator : Simulator {
-  HeapSimulator() : Simulator(QueuePolicy::kBinaryHeap) {}
-};
+// The timer wheel's figures before the flat heap replaced it: churn
+// events/sec (median of four micro_sim runs, best of 3 rounds each) and the
+// reference PS job's 9,848 allocations over 132,356 events, on a 4-vCPU
+// x86-64 container, RelWithDebInfo.
+constexpr double kWheelChurnEventsPerSec = 13.1e6;
+constexpr double kWheelAllocsPerEvent = 0.0744;
 
 // ---- reference figure sweep -----------------------------------------------
 
@@ -150,7 +151,7 @@ ShardRow MeasureShards(int shards) {
   return row;
 }
 
-// Reads the previous run's wheel churn throughput; 0 when absent/unreadable.
+// Reads the previous run's churn throughput; 0 when absent/unreadable.
 double BaselineEventsPerSec(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -181,9 +182,8 @@ int main(int argc, char** argv) {
   const int rounds = static_cast<int>(flags.GetInt("rounds", 3));
   const bool skip_sweep = flags.GetBool("skip-sweep", false);
   const double max_regression = flags.GetDouble("max-regression", 0.10);
-  const double min_wheel_vs_heap = flags.GetDouble("min-wheel-vs-heap", 0.9);
   const double max_idle_regression = flags.GetDouble("max-idle-regression", 0.03);
-  const double max_allocs_per_event = flags.GetDouble("max-allocs-per-event", 0.1);
+  const double max_allocs_per_event = flags.GetDouble("max-allocs-per-event", 0.06);
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
 
   // Read the gate baseline before this run overwrites the file.
@@ -192,41 +192,33 @@ int main(int argc, char** argv) {
   std::printf("micro_sim: event-loop and sweep perf baseline (jobs=%d, host_cpus=%d)\n", jobs,
               host_cpus);
 
-  const ChurnResult wheel = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
-  const ChurnResult heap = MeasureChurn<HeapSimulator, EventHandle>(churn_events, rounds);
+  const ChurnResult churn = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
   const ChurnResult legacy =
       MeasureChurn<LegacySimulator, LegacySimulator::Handle>(churn_events, rounds);
-  if (wheel.checksum != legacy.checksum || heap.checksum != legacy.checksum) {
-    std::fprintf(stderr, "FATAL: churn checksums diverge (wheel %llu, heap %llu, legacy %llu)\n",
-                 static_cast<unsigned long long>(wheel.checksum),
-                 static_cast<unsigned long long>(heap.checksum),
+  if (churn.checksum != legacy.checksum) {
+    std::fprintf(stderr, "FATAL: churn checksums diverge (simulator %llu, legacy %llu)\n",
+                 static_cast<unsigned long long>(churn.checksum),
                  static_cast<unsigned long long>(legacy.checksum));
     return 1;
   }
-  const double speedup_vs_legacy = wheel.events_per_sec / legacy.events_per_sec;
-  const double wheel_vs_heap = wheel.events_per_sec / heap.events_per_sec;
-  std::printf("  event loop: wheel %.2fM events/sec, heap %.2fM, legacy %.2fM\n",
-              wheel.events_per_sec / 1e6, heap.events_per_sec / 1e6, legacy.events_per_sec / 1e6);
-  std::printf("  wheel vs legacy: %.2fx   wheel vs heap: %.2fx\n", speedup_vs_legacy,
-              wheel_vs_heap);
+  const double speedup_vs_legacy = churn.events_per_sec / legacy.events_per_sec;
+  std::printf("  event loop: %.2fM events/sec, legacy %.2fM (%.2fx); timer wheel before: %.2fM\n",
+              churn.events_per_sec / 1e6, legacy.events_per_sec / 1e6, speedup_vs_legacy,
+              kWheelChurnEventsPerSec / 1e6);
 
   // Dynamic-network zero-cost gate: the integrating transmit path with an
   // identity RateModel installed must track the legacy fixed-rate link path.
   // The simulated timings are bit-identical by contract (tests/net_test.cc
   // asserts that); this measures the host-CPU price of the idle machinery.
   const int link_msgs = static_cast<int>(flags.GetInt("link-msgs", 200000));
-  const bench::LinkChurnResult link_static = bench::MeasureLinkChurn(false, link_msgs, rounds);
-  const bench::LinkChurnResult link_idle = bench::MeasureLinkChurn(true, link_msgs, rounds);
-  if (link_static.checksum != link_idle.checksum) {
-    std::fprintf(stderr, "FATAL: link churn timings diverge (static %llu, idle-model %llu)\n",
-                 static_cast<unsigned long long>(link_static.checksum),
-                 static_cast<unsigned long long>(link_idle.checksum));
+  const bench::IdleOverhead idle = bench::MeasureIdleOverhead(link_msgs, rounds);
+  if (!idle.checksums_match) {
+    std::fprintf(stderr, "FATAL: link churn timings diverge between static and idle-model\n");
     return 1;
   }
-  const double idle_overhead = 1.0 - link_idle.msgs_per_sec / link_static.msgs_per_sec;
-  std::printf("  link churn: static %.2fM msgs/sec, idle rate-model %.2fM (%+.1f%%)\n",
-              link_static.msgs_per_sec / 1e6, link_idle.msgs_per_sec / 1e6,
-              -100.0 * idle_overhead);
+  std::printf("  link churn: static %.2fM msgs/sec, idle rate-model %.2fM (%+.1f%%, paired median)\n",
+              idle.static_msgs_per_sec / 1e6, idle.idle_msgs_per_sec / 1e6,
+              -100.0 * idle.overhead);
 
   const AllocRow allocs = MeasureAllocs();
 
@@ -270,19 +262,22 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"workload\": \"churn\",\n");
   std::fprintf(out, "    \"events\": %d,\n", churn_events);
   std::fprintf(out, "    \"rounds\": %d,\n", rounds);
-  std::fprintf(out, "    \"queue\": \"timer_wheel\",\n");
-  std::fprintf(out, "    \"events_per_sec\": %.0f,\n", wheel.events_per_sec);
-  std::fprintf(out, "    \"heap_events_per_sec\": %.0f,\n", heap.events_per_sec);
+  std::fprintf(out, "    \"queue\": \"binary_heap\",\n");
+  std::fprintf(out, "    \"events_per_sec\": %.0f,\n", churn.events_per_sec);
   std::fprintf(out, "    \"legacy_events_per_sec\": %.0f,\n", legacy.events_per_sec);
-  std::fprintf(out, "    \"wheel_vs_heap\": %.3f,\n", wheel_vs_heap);
   std::fprintf(out, "    \"speedup_vs_legacy\": %.3f\n", speedup_vs_legacy);
+  std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"before\": {\n");
+  std::fprintf(out, "    \"queue\": \"timer_wheel\",\n");
+  std::fprintf(out, "    \"events_per_sec\": %.0f,\n", kWheelChurnEventsPerSec);
+  std::fprintf(out, "    \"allocs_per_event\": %.4f\n", kWheelAllocsPerEvent);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"rate_model\": {\n");
   std::fprintf(out, "    \"workload\": \"link_churn\",\n");
   std::fprintf(out, "    \"messages\": %d,\n", link_msgs);
-  std::fprintf(out, "    \"static_msgs_per_sec\": %.0f,\n", link_static.msgs_per_sec);
-  std::fprintf(out, "    \"idle_msgs_per_sec\": %.0f,\n", link_idle.msgs_per_sec);
-  std::fprintf(out, "    \"idle_overhead\": %.4f,\n", idle_overhead);
+  std::fprintf(out, "    \"static_msgs_per_sec\": %.0f,\n", idle.static_msgs_per_sec);
+  std::fprintf(out, "    \"idle_msgs_per_sec\": %.0f,\n", idle.idle_msgs_per_sec);
+  std::fprintf(out, "    \"idle_overhead\": %.4f,\n", idle.overhead);
   std::fprintf(out, "    \"max_idle_regression\": %.4f\n", max_idle_regression);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"allocations\": {\n");
@@ -331,23 +326,11 @@ int main(int argc, char** argv) {
                  allocs.per_event(), max_allocs_per_event);
     ++failures;
   }
-  double gated_ratio = wheel_vs_heap;
-  if (gated_ratio < min_wheel_vs_heap) {
-    const ChurnResult w2 = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
-    const ChurnResult h2 = MeasureChurn<HeapSimulator, EventHandle>(churn_events, rounds);
-    gated_ratio = std::max(gated_ratio, w2.events_per_sec / h2.events_per_sec);
-  }
-  if (gated_ratio < min_wheel_vs_heap) {
-    std::fprintf(stderr, "PERF GATE: timer wheel fell below %.2fx of the binary heap (%.3fx)\n",
-                 min_wheel_vs_heap, gated_ratio);
-    ++failures;
-  }
   {
-    double gated_overhead = idle_overhead;
+    double gated_overhead = idle.overhead;
     if (gated_overhead > max_idle_regression) {
-      const bench::LinkChurnResult s2 = bench::MeasureLinkChurn(false, link_msgs, rounds);
-      const bench::LinkChurnResult i2 = bench::MeasureLinkChurn(true, link_msgs, rounds);
-      gated_overhead = std::min(gated_overhead, 1.0 - i2.msgs_per_sec / s2.msgs_per_sec);
+      gated_overhead = std::min(gated_overhead,
+                                bench::MeasureIdleOverhead(link_msgs, rounds).overhead);
     }
     if (gated_overhead > max_idle_regression) {
       std::fprintf(stderr,
@@ -359,7 +342,7 @@ int main(int argc, char** argv) {
   }
   if (baseline_rate > 0.0) {
     const double floor = (1.0 - max_regression) * baseline_rate;
-    double gated_rate = wheel.events_per_sec;
+    double gated_rate = churn.events_per_sec;
     if (gated_rate < floor) {
       const ChurnResult confirm = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
       gated_rate = std::max(gated_rate, confirm.events_per_sec);

@@ -44,7 +44,8 @@
 //                          same baseline (default 0.05)
 //        --idle-tolerance F  allowed link-churn slowdown of the
 //                          enabled-but-idle RateModel path vs the static
-//                          link path measured in the same process (default
+//                          link path: the median of alternating static /
+//                          idle pairs measured in the same process (default
 //                          0.03 — the dynamic fabric's zero-cost gate,
 //                          mirroring micro_sim's --max-idle-regression)
 #include <algorithm>
@@ -435,27 +436,22 @@ int main(int argc, char** argv) {
 
   // 2b. Enabled-but-idle dynamic-network path: the integrating Link transmit
   //     path with an identity RateModel installed must track the static link
-  //     path (same-process ratio, so the tight default holds even where the
-  //     cross-process gates above need widening).
+  //     path (median of alternating same-process pairs, so the tight default
+  //     holds even where the cross-process gates above need widening).
   const int link_msgs = static_cast<int>(flags.GetInt("link-msgs", 200000));
-  const bench::LinkChurnResult link_static =
-      bench::MeasureLinkChurn(false, link_msgs, rounds);
-  const bench::LinkChurnResult link_idle = bench::MeasureLinkChurn(true, link_msgs, rounds);
-  if (link_static.checksum != link_idle.checksum) {
-    std::fprintf(stderr, "FATAL: link churn timings diverge (static %llu, idle-model %llu)\n",
-                 static_cast<unsigned long long>(link_static.checksum),
-                 static_cast<unsigned long long>(link_idle.checksum));
+  const bench::IdleOverhead idle = bench::MeasureIdleOverhead(link_msgs, rounds);
+  if (!idle.checksums_match) {
+    std::fprintf(stderr, "FATAL: link churn timings diverge between static and idle-model\n");
     return 1;
   }
-  double idle_overhead = 1.0 - link_idle.msgs_per_sec / link_static.msgs_per_sec;
+  double idle_overhead = idle.overhead;
   if (idle_overhead > idle_tolerance) {
-    const bench::LinkChurnResult s2 = bench::MeasureLinkChurn(false, link_msgs, rounds);
-    const bench::LinkChurnResult i2 = bench::MeasureLinkChurn(true, link_msgs, rounds);
-    idle_overhead = std::min(idle_overhead, 1.0 - i2.msgs_per_sec / s2.msgs_per_sec);
+    idle_overhead =
+        std::min(idle_overhead, bench::MeasureIdleOverhead(link_msgs, rounds).overhead);
   }
   const bool idle_within_tolerance = idle_overhead <= idle_tolerance;
   std::printf("  link churn (idle rate-model): %.2fM msgs/sec vs static %.2fM (%+.1f%%)%s\n",
-              link_idle.msgs_per_sec / 1e6, link_static.msgs_per_sec / 1e6,
+              idle.idle_msgs_per_sec / 1e6, idle.static_msgs_per_sec / 1e6,
               -100.0 * idle_overhead,
               idle_within_tolerance ? "" : "  ** EXCEEDS TOLERANCE **");
 
@@ -532,8 +528,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"link_churn_idle\": {\n");
   std::fprintf(out, "    \"messages\": %d,\n", link_msgs);
-  std::fprintf(out, "    \"static_msgs_per_sec\": %.0f,\n", link_static.msgs_per_sec);
-  std::fprintf(out, "    \"idle_msgs_per_sec\": %.0f,\n", link_idle.msgs_per_sec);
+  std::fprintf(out, "    \"static_msgs_per_sec\": %.0f,\n", idle.static_msgs_per_sec);
+  std::fprintf(out, "    \"idle_msgs_per_sec\": %.0f,\n", idle.idle_msgs_per_sec);
   std::fprintf(out, "    \"slowdown\": %.4f,\n", idle_overhead);
   std::fprintf(out, "    \"tolerance\": %.4f,\n", idle_tolerance);
   std::fprintf(out, "    \"within_tolerance\": %s\n", idle_within_tolerance ? "true" : "false");

@@ -10,22 +10,22 @@
 // in a small-buffer-optimized EventFn (no heap allocation for closures that
 // fit its inline buffer), and cancellation is a slot-generation check instead of a
 // per-event shared_ptr control block. Cancelled entries still queued are
-// lazily skipped, and the queue is compacted when they pile up. Entry
-// ordering is delegated to a pluggable EventQueue policy (timer wheel by
-// default, binary heap as the differential baseline); both produce
-// bit-identical event trajectories.
+// lazily skipped, and the queue is compacted when they pile up. The queue is
+// one flat binary min-heap of 32-byte entries (std::push_heap / pop_heap over
+// a vector the Simulator owns), ordered by (when, seq). seq is unique, so the
+// order is total and any correct priority queue pops the same sequence; the
+// timer wheel this heap replaced measured slower on real jobs (EXPERIMENTS.md
+// "Event queue: one flat heap").
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/common/inline_fn.h"
 #include "src/common/units.h"
-#include "src/sim/event_queue.h"
 
 namespace bsched {
 
@@ -35,6 +35,26 @@ namespace bsched {
 // allocation, which the partition hot path avoids by keeping its bulky state
 // (callbacks, subtasks) in the owning entity's queues and tables.
 using EventFn = InlineFn<void()>;
+
+// One queued event: 32 bytes, so the heap permutes these and never the
+// callbacks, which stay in the Simulator's slot pool.
+struct EventEntry {
+  SimTime when;
+  uint64_t seq;
+  uint64_t generation;
+  uint32_t slot;
+};
+
+// Min-heap comparator: true when `a` fires after `b` (later time, or same
+// time but scheduled later — FIFO tie-break).
+struct EventAfter {
+  bool operator()(const EventEntry& a, const EventEntry& b) const {
+    if (a.when != b.when) {
+      return a.when > b.when;
+    }
+    return a.seq > b.seq;
+  }
+};
 
 class Simulator;
 
@@ -64,8 +84,7 @@ class EventHandle {
 
 class Simulator {
  public:
-  explicit Simulator(QueuePolicy policy = QueuePolicy::kTimerWheel)
-      : queue_(MakeEventQueue(policy)) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -103,7 +122,7 @@ class Simulator {
   size_t PendingEvents() const { return live_; }
   // Raw queue entries, including cancelled events not yet reclaimed; equals
   // PendingEvents() after compaction. Debugging / test hook.
-  size_t QueuedEvents() const { return queue_->size(); }
+  size_t QueuedEvents() const { return heap_.size(); }
   // Slots ever allocated; stays flat under steady-state churn (pool reuse).
   size_t AllocatedSlots() const { return slots_.size(); }
   uint64_t processed_events() const { return processed_; }
@@ -122,6 +141,8 @@ class Simulator {
   bool EntryLive(const EventEntry& e) const {
     return slots_[e.slot].generation == e.generation;
   }
+  // Removes the earliest entry from the heap and returns it.
+  EventEntry PopEarliest();
   // Fires `e`, which must be live: releases its slot, advances time, runs fn.
   void Fire(const EventEntry& e);
   // Advances the slot's generation (invalidating queued entries and handles)
@@ -137,7 +158,7 @@ class Simulator {
   uint64_t compactions_ = 0;
   uint64_t skipped_cancelled_ = 0;
   size_t live_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  std::vector<EventEntry> heap_;  // binary min-heap under EventAfter
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 };

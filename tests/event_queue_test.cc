@@ -1,201 +1,28 @@
-// Differential tests for the event-queue policies: the timer wheel and the
-// legacy binary heap must be observationally identical, both at the raw
-// EventQueue level (pop order of arbitrary entry mixes, including cancelled
-// entries and far-future timers) and at the Simulator level (fired-callback
-// order, PendingEvents/QueuedEvents accounting, skip/compaction counters)
-// under randomized schedule/cancel/compact workloads.
+// Differential tests for Simulator's event queue (a flat binary min-heap
+// ordered by (when, seq)): every test drives the Simulator and
+// ReferenceSimulator, a plain std::set-ordered loop, through the same
+// randomized schedule / cancel / step / run-to-deadline script and demands
+// identical observations — fired-callback order and times, PendingEvents /
+// QueuedEvents accounting, and the skip and compaction counters. The suite
+// names date from when the queue was a pluggable policy; each test now checks
+// the one queue against the oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
+#include "tests/reference_simulator.h"
 
 namespace bsched {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Raw queue level: both policies must yield the exact same entry stream.
-
-std::vector<EventEntry> DrainAll(EventQueue* q) {
-  std::vector<EventEntry> out;
-  EventEntry e;
-  while (q->PopEarliest(&e)) {
-    out.push_back(e);
-  }
-  return out;
-}
-
-void ExpectSameStream(const std::vector<EventEntry>& a,
-                      const std::vector<EventEntry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].when.nanos(), b[i].when.nanos()) << "at index " << i;
-    EXPECT_EQ(a[i].seq, b[i].seq) << "at index " << i;
-    EXPECT_EQ(a[i].slot, b[i].slot) << "at index " << i;
-  }
-}
-
-TEST(EventQueueDifferentialTest, RandomizedInterleavedPushPop) {
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    Rng rng(seed * 1000003 + 17);
-    HeapEventQueue heap;
-    TimerWheelEventQueue wheel;
-    uint64_t seq = 0;
-    std::vector<EventEntry> heap_popped, wheel_popped;
-    int64_t low_water = 0;  // pops advance time; pushes must not go backwards
-    for (int op = 0; op < 20000; ++op) {
-      if (rng.NextDouble() < 0.6 || heap.size() == 0) {
-        // Mix of near (ns..us), far (ms), and very far (minutes+) timers, the
-        // last landing beyond the wheel's 2^40ns span to force overflow.
-        int64_t when;
-        const double r = rng.NextDouble();
-        if (r < 0.70) {
-          when = low_water + rng.UniformInt(0, 4000);
-        } else if (r < 0.90) {
-          when = low_water + rng.UniformInt(0, 50'000'000);
-        } else {
-          when = low_water + rng.UniformInt(0, int64_t{1} << 42);
-        }
-        EventEntry e{SimTime::Nanos(when), seq, seq, static_cast<uint32_t>(seq)};
-        ++seq;
-        heap.Push(e);
-        wheel.Push(e);
-      } else {
-        EventEntry he, we;
-        ASSERT_TRUE(heap.PopEarliest(&he));
-        ASSERT_TRUE(wheel.PopEarliest(&we));
-        EXPECT_EQ(he.when.nanos(), we.when.nanos());
-        EXPECT_EQ(he.seq, we.seq);
-        low_water = he.when.nanos();
-        heap_popped.push_back(he);
-        wheel_popped.push_back(we);
-      }
-      ASSERT_EQ(heap.size(), wheel.size());
-    }
-    auto heap_rest = DrainAll(&heap);
-    auto wheel_rest = DrainAll(&wheel);
-    ExpectSameStream(heap_popped, wheel_popped);
-    ExpectSameStream(heap_rest, wheel_rest);
-  }
-}
-
-TEST(EventQueueDifferentialTest, SameTimestampTiesPopInSeqOrder) {
-  HeapEventQueue heap;
-  TimerWheelEventQueue wheel;
-  // Many entries at identical timestamps, pushed out of seq order.
-  std::vector<uint64_t> seqs;
-  for (uint64_t s = 0; s < 64; ++s) {
-    seqs.push_back(s);
-  }
-  Rng rng(7);
-  for (size_t i = seqs.size(); i > 1; --i) {
-    std::swap(seqs[i - 1], seqs[rng.UniformInt(0, static_cast<int64_t>(i) - 1)]);
-  }
-  for (uint64_t s : seqs) {
-    EventEntry e{SimTime::Micros(5), s, 0, static_cast<uint32_t>(s)};
-    heap.Push(e);
-    wheel.Push(e);
-  }
-  auto hp = DrainAll(&heap);
-  auto wp = DrainAll(&wheel);
-  ASSERT_EQ(hp.size(), 64u);
-  for (uint64_t s = 0; s < 64; ++s) {
-    EXPECT_EQ(hp[s].seq, s);
-    EXPECT_EQ(wp[s].seq, s);
-  }
-}
-
-TEST(EventQueueDifferentialTest, CompactDropsExactlyDeadEntries) {
-  for (uint64_t seed = 0; seed < 4; ++seed) {
-    Rng rng(seed + 99);
-    HeapEventQueue heap;
-    TimerWheelEventQueue wheel;
-    std::vector<bool> dead;
-    for (uint64_t s = 0; s < 3000; ++s) {
-      int64_t when = rng.UniformInt(0, int64_t{1} << 41);  // spans all levels
-      EventEntry e{SimTime::Nanos(when), s, 0, static_cast<uint32_t>(s)};
-      heap.Push(e);
-      wheel.Push(e);
-      dead.push_back(rng.NextDouble() < 0.7);
-    }
-    auto is_dead = [&dead](const EventEntry& e) { return dead[e.seq]; };
-    heap.Compact(is_dead);
-    wheel.Compact(is_dead);
-    ASSERT_EQ(heap.size(), wheel.size());
-    auto hp = DrainAll(&heap);
-    auto wp = DrainAll(&wheel);
-    ExpectSameStream(hp, wp);
-    for (const EventEntry& e : hp) {
-      EXPECT_FALSE(dead[e.seq]);
-    }
-  }
-}
-
-TEST(EventQueueDifferentialTest, PeekMatchesPopAndDoesNotConsume) {
-  HeapEventQueue heap;
-  TimerWheelEventQueue wheel;
-  Rng rng(42);
-  for (uint64_t s = 0; s < 500; ++s) {
-    EventEntry e{SimTime::Nanos(rng.UniformInt(0, 10'000'000)), s, 0,
-                 static_cast<uint32_t>(s)};
-    heap.Push(e);
-    wheel.Push(e);
-  }
-  EventEntry pk, pp;
-  while (wheel.size() > 0) {
-    ASSERT_TRUE(wheel.PeekEarliest(&pk));
-    ASSERT_TRUE(wheel.PeekEarliest(&pp));  // repeated peek: same entry
-    EXPECT_EQ(pk.seq, pp.seq);
-    const size_t before = wheel.size();
-    ASSERT_TRUE(wheel.PopEarliest(&pp));
-    EXPECT_EQ(pk.seq, pp.seq);
-    EXPECT_EQ(pk.when.nanos(), pp.when.nanos());
-    EXPECT_EQ(wheel.size(), before - 1);
-    EventEntry hh;
-    ASSERT_TRUE(heap.PopEarliest(&hh));
-    EXPECT_EQ(hh.seq, pp.seq);
-  }
-}
-
-// Regression guard for the horizon/normalize interplay: a dense run of
-// events right below a level boundary followed by one just above it must not
-// skip the entry parked in the upper level's cursor slot.
-TEST(EventQueueTest, WheelDoesNotSkipAcrossGranuleBoundaries) {
-  TimerWheelEventQueue wheel;
-  uint64_t seq = 0;
-  // Entry just past the 2^16 boundary (level-1 territory), then fill the
-  // level-0 ring right up to the boundary and drain everything.
-  std::vector<int64_t> whens = {(int64_t{1} << 16) + 10};
-  for (int64_t t = 0; t < (int64_t{1} << 16); t += 997) {
-    whens.push_back(t);
-  }
-  // And one far entry in level-2/3 land plus one in overflow.
-  whens.push_back((int64_t{1} << 33) + 5);
-  whens.push_back((int64_t{1} << 41) + 123);
-  for (int64_t w : whens) {
-    wheel.Push(EventEntry{SimTime::Nanos(w), seq++, 0, 0});
-  }
-  auto popped = DrainAll(&wheel);
-  ASSERT_EQ(popped.size(), whens.size());
-  std::sort(whens.begin(), whens.end());
-  for (size_t i = 0; i < whens.size(); ++i) {
-    EXPECT_EQ(popped[i].when.nanos(), whens[i]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Simulator level: both policies drive identical event trajectories under a
-// randomized schedule/cancel/run workload, with identical accounting.
-
+// Everything observable about one run; the firing log holds (id, time) pairs.
 struct SimScript {
-  // Records everything observable about one simulator run.
-  std::vector<int> fired;
+  std::vector<int64_t> fired;
   std::vector<size_t> pending_after_op;
   std::vector<size_t> queued_after_op;
   uint64_t processed = 0;
@@ -211,17 +38,201 @@ struct SimScript {
   }
 };
 
-SimScript RunRandomWorkload(QueuePolicy policy, uint64_t seed) {
-  Simulator sim(policy);
+template <typename Sim>
+void Record(const Sim& sim, SimScript* script) {
+  script->pending_after_op.push_back(sim.PendingEvents());
+  script->queued_after_op.push_back(sim.QueuedEvents());
+}
+
+template <typename Sim>
+void Finish(const Sim& sim, SimScript* script) {
+  script->processed = sim.processed_events();
+  script->compactions = sim.compactions();
+  script->skipped = sim.skipped_cancelled();
+  script->final_now = sim.Now().nanos();
+}
+
+// ---------------------------------------------------------------------------
+// Queue level: absolute-time pushes and single-event pops.
+
+template <typename Sim>
+SimScript RunInterleavedPushPop(uint64_t seed) {
+  Sim sim;
+  Rng rng(seed * 1000003 + 17);
+  SimScript script;
+  int next_id = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (rng.NextDouble() < 0.6 || sim.Empty()) {
+      // Mix of near (ns..us), far (ms) and very far (minutes+) timers.
+      const int64_t low_water = sim.Now().nanos();
+      int64_t when;
+      const double r = rng.NextDouble();
+      if (r < 0.70) {
+        when = low_water + rng.UniformInt(0, 4000);
+      } else if (r < 0.90) {
+        when = low_water + rng.UniformInt(0, 50'000'000);
+      } else {
+        when = low_water + rng.UniformInt(0, int64_t{1} << 42);
+      }
+      const int id = next_id++;
+      sim.ScheduleAt(SimTime::Nanos(when), [&script, &sim, id] {
+        script.fired.push_back(id);
+        script.fired.push_back(sim.Now().nanos());
+      });
+    } else {
+      EXPECT_TRUE(sim.Step());
+    }
+    Record(sim, &script);
+  }
+  sim.Run();
+  Finish(sim, &script);
+  return script;
+}
+
+TEST(EventQueueDifferentialTest, RandomizedInterleavedPushPop) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    const SimScript heap = RunInterleavedPushPop<Simulator>(seed);
+    const SimScript oracle = RunInterleavedPushPop<ReferenceSimulator>(seed);
+    // Nothing is cancelled, so every scheduled event fires exactly once.
+    EXPECT_EQ(heap.fired.size(), 2 * heap.processed) << "seed " << seed;
+    EXPECT_TRUE(heap == oracle) << "divergence at seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferentialTest, SameTimestampTiesPopInSeqOrder) {
+  // 64 events share one timestamp; they are scheduled in shuffled position
+  // among 64 others at random earlier and later times, so the ties enter the
+  // heap at many different depths. They must fire in scheduling order.
+  Rng rng(7);
+  std::vector<int64_t> whens;
+  for (int i = 0; i < 64; ++i) {
+    whens.push_back(5000);
+    whens.push_back(rng.UniformInt(0, 10'000));
+  }
+  for (size_t i = whens.size(); i > 1; --i) {
+    std::swap(whens[i - 1], whens[rng.UniformInt(0, static_cast<int64_t>(i) - 1)]);
+  }
+  auto run = [&whens](auto& sim) {
+    std::vector<int> tied;
+    std::vector<int64_t> all;
+    for (size_t i = 0; i < whens.size(); ++i) {
+      const int id = static_cast<int>(i);
+      const bool is_tie = whens[i] == 5000;
+      sim.ScheduleAt(SimTime::Nanos(whens[i]), [&tied, &all, &sim, id, is_tie] {
+        all.push_back(id);
+        all.push_back(sim.Now().nanos());
+        if (is_tie) {
+          tied.push_back(id);
+        }
+      });
+    }
+    sim.Run();
+    EXPECT_TRUE(std::is_sorted(tied.begin(), tied.end()));
+    return all;
+  };
+  Simulator heap;
+  ReferenceSimulator oracle;
+  EXPECT_EQ(run(heap), run(oracle));
+}
+
+template <typename Sim, typename Handle>
+SimScript RunMassCancel(uint64_t seed) {
+  Sim sim;
+  Rng rng(seed + 99);
+  SimScript script;
+  std::vector<Handle> handles;
+  std::vector<bool> dead;
+  for (int id = 0; id < 3000; ++id) {
+    const int64_t when = rng.UniformInt(0, int64_t{1} << 41);
+    handles.push_back(sim.ScheduleAt(SimTime::Nanos(when), [&script, id] {
+      script.fired.push_back(id);
+    }));
+    dead.push_back(rng.NextDouble() < 0.7);
+  }
+  // Cancel in a shuffled order so compaction passes run with the dead
+  // entries scattered through the heap.
+  std::vector<int> order;
+  for (int id = 0; id < 3000; ++id) {
+    if (dead[id]) {
+      order.push_back(id);
+    }
+  }
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.UniformInt(0, static_cast<int64_t>(i) - 1)]);
+  }
+  for (int id : order) {
+    handles[id].Cancel();
+    Record(sim, &script);
+  }
+  sim.Run();
+  Finish(sim, &script);
+  for (int64_t id : script.fired) {
+    EXPECT_FALSE(dead[id]) << "cancelled event " << id << " fired";
+  }
+  return script;
+}
+
+TEST(EventQueueDifferentialTest, CompactDropsExactlyDeadEntries) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    const SimScript heap = RunMassCancel<Simulator, EventHandle>(seed);
+    const SimScript oracle = RunMassCancel<ReferenceSimulator, ReferenceSimulator::Handle>(seed);
+    EXPECT_GE(heap.compactions, 1u) << "seed " << seed;
+    EXPECT_TRUE(heap == oracle) << "divergence at seed " << seed;
+  }
+}
+
+TEST(EventQueueDifferentialTest, PeekMatchesPopAndDoesNotConsume) {
+  auto run = [](auto& sim, auto handle_type) {
+    using Handle = decltype(handle_type);
+    Rng rng(42);
+    std::vector<int64_t> log;
+    std::vector<Handle> handles;
+    for (int id = 0; id < 500; ++id) {
+      handles.push_back(sim.ScheduleAt(SimTime::Nanos(rng.UniformInt(0, 10'000'000)),
+                                       [&log, id] { log.push_back(id); }));
+    }
+    // Cancelled entries at the head make NextEventTime discard them first.
+    for (int i = 0; i < 100; ++i) {
+      handles[rng.UniformInt(0, 499)].Cancel();
+    }
+    SimTime peek, again;
+    while (sim.NextEventTime(&peek)) {
+      const size_t pending = sim.PendingEvents();
+      const size_t queued = sim.QueuedEvents();
+      EXPECT_TRUE(sim.NextEventTime(&again));  // repeated peek: same entry
+      EXPECT_EQ(peek, again);
+      EXPECT_EQ(sim.PendingEvents(), pending);
+      EXPECT_EQ(sim.QueuedEvents(), queued);
+      EXPECT_TRUE(sim.Step());
+      EXPECT_EQ(sim.Now(), peek);
+      EXPECT_EQ(sim.PendingEvents(), pending - 1);
+      log.push_back(sim.Now().nanos());
+    }
+    EXPECT_TRUE(sim.Empty());
+    log.push_back(static_cast<int64_t>(sim.skipped_cancelled()));
+    return log;
+  };
+  Simulator heap;
+  ReferenceSimulator oracle;
+  EXPECT_EQ(run(heap, EventHandle()), run(oracle, ReferenceSimulator::Handle()));
+}
+
+// ---------------------------------------------------------------------------
+// Simulator level: a randomized schedule/cancel/step/run workload whose
+// callbacks schedule follow-ups.
+
+template <typename Sim, typename Handle>
+SimScript RunRandomWorkload(uint64_t seed) {
+  Sim sim;
   Rng rng(seed);
   SimScript script;
-  std::vector<EventHandle> handles;
+  std::vector<Handle> handles;
   int next_id = 0;
   for (int op = 0; op < 4000; ++op) {
     const double r = rng.NextDouble();
     if (r < 0.45) {
-      // Schedule with a mix of tie-heavy, near, far, and overflow delays;
-      // the callback occasionally schedules a follow-up or cancels a peer.
+      // Schedule with a mix of tie-heavy, near, far and very far delays;
+      // the callback occasionally schedules a follow-up.
       int64_t delay;
       const double d = rng.NextDouble();
       if (d < 0.3) {
@@ -251,14 +262,10 @@ SimScript RunRandomWorkload(QueuePolicy policy, uint64_t seed) {
       // rest stay queued.
       sim.Run(sim.Now() + SimTime::Nanos(rng.UniformInt(0, 200'000)));
     }
-    script.pending_after_op.push_back(sim.PendingEvents());
-    script.queued_after_op.push_back(sim.QueuedEvents());
+    Record(sim, &script);
   }
   sim.Run();
-  script.processed = sim.processed_events();
-  script.compactions = sim.compactions();
-  script.skipped = sim.skipped_cancelled();
-  script.final_now = sim.Now().nanos();
+  Finish(sim, &script);
   EXPECT_TRUE(sim.Empty());
   EXPECT_EQ(sim.PendingEvents(), 0u);
   return script;
@@ -266,17 +273,16 @@ SimScript RunRandomWorkload(QueuePolicy policy, uint64_t seed) {
 
 TEST(SimulatorDifferentialTest, PoliciesProduceIdenticalTrajectories) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    SimScript wheel = RunRandomWorkload(QueuePolicy::kTimerWheel, seed);
-    SimScript heap = RunRandomWorkload(QueuePolicy::kBinaryHeap, seed);
-    EXPECT_TRUE(wheel == heap) << "divergence at seed " << seed;
+    const SimScript heap = RunRandomWorkload<Simulator, EventHandle>(seed);
+    const SimScript oracle = RunRandomWorkload<ReferenceSimulator, ReferenceSimulator::Handle>(seed);
+    EXPECT_TRUE(heap == oracle) << "divergence at seed " << seed;
   }
 }
 
 TEST(SimulatorDifferentialTest, CancellationSemanticsMatch) {
-  for (QueuePolicy policy : {QueuePolicy::kTimerWheel, QueuePolicy::kBinaryHeap}) {
-    Simulator sim(policy);
+  auto run = [](auto& sim) {
     int fired = 0;
-    EventHandle h = sim.Schedule(SimTime::Micros(10), [&] { ++fired; });
+    auto h = sim.Schedule(SimTime::Micros(10), [&] { ++fired; });
     sim.Schedule(SimTime::Micros(20), [&] { ++fired; });
     h.Cancel();
     h.Cancel();  // idempotent
@@ -285,7 +291,11 @@ TEST(SimulatorDifferentialTest, CancellationSemanticsMatch) {
     sim.Run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(sim.skipped_cancelled(), 1u);
-  }
+  };
+  Simulator heap;
+  ReferenceSimulator oracle;
+  run(heap);
+  run(oracle);
 }
 
 }  // namespace

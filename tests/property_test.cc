@@ -16,6 +16,7 @@
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
 #include "src/sim/simulator.h"
+#include "tests/reference_simulator.h"
 
 namespace bsched {
 namespace {
@@ -192,50 +193,53 @@ TEST_P(CoreFuzzTest, CreditConservedUnderRandomCompletionOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoreFuzzTest, ::testing::Range<uint64_t>(0, 16));
 
-// ---- queue-policy differential property -------------------------------------
+// ---- event-queue differential property --------------------------------------
 
-// For any randomized schedule/cancel/run-to-deadline workload, a Simulator on
-// the timer wheel and one on the legacy binary heap must fire the same events
-// in the same order with identical accounting. This is the property backing
-// the wheel's role as the default engine (deeper structural cases live in
-// tests/event_queue_test.cc).
+// For any randomized schedule/cancel/run-to-deadline workload, the Simulator
+// (a flat binary heap) and ReferenceSimulator (a std::set-ordered oracle) must
+// fire the same events at the same times with identical accounting. The suite
+// name dates from when two queue policies were compared; deeper structural
+// cases live in tests/event_queue_test.cc.
 class QueuePolicyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(QueuePolicyFuzzTest, WheelAndHeapTrajectoriesAreIdentical) {
-  auto run = [](QueuePolicy policy, uint64_t seed) {
-    Simulator sim(policy);
-    Rng rng(seed);
-    std::vector<int64_t> trace;
-    std::vector<EventHandle> handles;
-    int next_id = 0;
-    for (int op = 0; op < 1500; ++op) {
-      const double r = rng.NextDouble();
-      if (r < 0.5) {
-        const int id = next_id++;
-        // Ties, near timers, far timers past several wheel levels.
-        const int64_t delay =
-            rng.NextDouble() < 0.3 ? 1000 : rng.UniformInt(0, int64_t{1} << 36);
-        handles.push_back(sim.Schedule(SimTime::Nanos(delay), [&trace, &sim, id] {
-          trace.push_back(id);
-          trace.push_back(sim.Now().nanos());
-        }));
-      } else if (r < 0.8 && !handles.empty()) {
-        handles[rng.UniformInt(0, static_cast<int64_t>(handles.size()) - 1)].Cancel();
-      } else {
-        sim.Run(sim.Now() + SimTime::Nanos(rng.UniformInt(0, 1'000'000)));
-        trace.push_back(static_cast<int64_t>(sim.PendingEvents()));
-        trace.push_back(static_cast<int64_t>(sim.QueuedEvents()));
-      }
+template <typename Sim, typename Handle>
+std::vector<int64_t> RunQueueFuzz(uint64_t seed) {
+  Sim sim;
+  Rng rng(seed);
+  std::vector<int64_t> trace;
+  std::vector<Handle> handles;
+  int next_id = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const double r = rng.NextDouble();
+    if (r < 0.5) {
+      const int id = next_id++;
+      // Ties, near timers and timers up to a minute out.
+      const int64_t delay =
+          rng.NextDouble() < 0.3 ? 1000 : rng.UniformInt(0, int64_t{1} << 36);
+      handles.push_back(sim.Schedule(SimTime::Nanos(delay), [&trace, &sim, id] {
+        trace.push_back(id);
+        trace.push_back(sim.Now().nanos());
+      }));
+    } else if (r < 0.8 && !handles.empty()) {
+      handles[rng.UniformInt(0, static_cast<int64_t>(handles.size()) - 1)].Cancel();
+    } else {
+      sim.Run(sim.Now() + SimTime::Nanos(rng.UniformInt(0, 1'000'000)));
+      trace.push_back(static_cast<int64_t>(sim.PendingEvents()));
+      trace.push_back(static_cast<int64_t>(sim.QueuedEvents()));
     }
-    sim.Run();
-    trace.push_back(static_cast<int64_t>(sim.processed_events()));
-    trace.push_back(static_cast<int64_t>(sim.skipped_cancelled()));
-    trace.push_back(static_cast<int64_t>(sim.compactions()));
-    trace.push_back(sim.Now().nanos());
-    return trace;
-  };
+  }
+  sim.Run();
+  trace.push_back(static_cast<int64_t>(sim.processed_events()));
+  trace.push_back(static_cast<int64_t>(sim.skipped_cancelled()));
+  trace.push_back(static_cast<int64_t>(sim.compactions()));
+  trace.push_back(sim.Now().nanos());
+  return trace;
+}
+
+TEST_P(QueuePolicyFuzzTest, WheelAndHeapTrajectoriesAreIdentical) {
   const uint64_t seed = GetParam();
-  EXPECT_EQ(run(QueuePolicy::kTimerWheel, seed), run(QueuePolicy::kBinaryHeap, seed));
+  EXPECT_EQ((RunQueueFuzz<Simulator, EventHandle>(seed)),
+            (RunQueueFuzz<ReferenceSimulator, ReferenceSimulator::Handle>(seed)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueuePolicyFuzzTest,

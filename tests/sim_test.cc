@@ -7,6 +7,7 @@
 #include "src/sim/resource.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/sim/simulator.h"
+#include "tests/reference_simulator.h"
 
 namespace bsched {
 namespace {
@@ -422,15 +423,14 @@ TEST(ResourceTest, InterleavedWithOtherResources) {
 // cancellation triggers compaction while the deadline lands inside the
 // surviving stretch. Every cancelled entry must be accounted exactly once —
 // either lazily skipped at pop time or reclaimed by a compaction pass, never
-// both — and both queue policies must agree on every counter.
+// both — and the counters must match the set-ordered reference loop.
 TEST(SimulatorTest, DeadlineInsideCompactionPassDoesNotDoubleCountSkips) {
   struct Outcome {
     uint64_t fired_by_deadline, fired_total, skipped, compactions;
     size_t pending_mid, queued_end;
   };
-  auto run = [](QueuePolicy policy) {
-    Simulator sim(policy);
-    std::vector<EventHandle> handles;
+  auto run = [](auto& sim, auto handle_type) {
+    std::vector<decltype(handle_type)> handles;
     int fired = 0;
     for (int i = 1; i <= 300; ++i) {
       handles.push_back(sim.Schedule(SimTime::Micros(i), [&fired] { ++fired; }));
@@ -451,21 +451,20 @@ TEST(SimulatorTest, DeadlineInsideCompactionPassDoesNotDoubleCountSkips) {
     o.queued_end = sim.QueuedEvents();
     return o;
   };
-  for (QueuePolicy policy : {QueuePolicy::kTimerWheel, QueuePolicy::kBinaryHeap}) {
-    Outcome o = run(policy);
-    EXPECT_EQ(o.fired_by_deadline, 101u);  // 1..100us events + the canceller
-    EXPECT_EQ(o.pending_mid, 0u);          // everything past 100us was cancelled
-    EXPECT_EQ(o.fired_total, 101u);
-    EXPECT_GE(o.compactions, 1u);
-    // 200 cancellations, each reclaimed once: lazily at pop or by compaction.
-    EXPECT_LE(o.skipped, 200u);
-    EXPECT_EQ(o.queued_end, 0u);
-  }
-  Outcome wheel = run(QueuePolicy::kTimerWheel);
-  Outcome heap = run(QueuePolicy::kBinaryHeap);
-  EXPECT_EQ(wheel.skipped, heap.skipped);
-  EXPECT_EQ(wheel.compactions, heap.compactions);
-  EXPECT_EQ(wheel.fired_by_deadline, heap.fired_by_deadline);
+  Simulator sim;
+  const Outcome o = run(sim, EventHandle());
+  EXPECT_EQ(o.fired_by_deadline, 101u);  // 1..100us events + the canceller
+  EXPECT_EQ(o.pending_mid, 0u);          // everything past 100us was cancelled
+  EXPECT_EQ(o.fired_total, 101u);
+  EXPECT_GE(o.compactions, 1u);
+  // 200 cancellations, each reclaimed once: lazily at pop or by compaction.
+  EXPECT_LE(o.skipped, 200u);
+  EXPECT_EQ(o.queued_end, 0u);
+  ReferenceSimulator ref;
+  const Outcome r = run(ref, ReferenceSimulator::Handle());
+  EXPECT_EQ(o.skipped, r.skipped);
+  EXPECT_EQ(o.compactions, r.compactions);
+  EXPECT_EQ(o.fired_by_deadline, r.fired_by_deadline);
 }
 
 // ---------------------------------------------------------------------------
