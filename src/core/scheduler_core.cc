@@ -287,7 +287,8 @@ void SchedulerCore::RecordAdmit(QueuedSubTask& entry, Bytes charged,
   }
   // Assign (or continue) the partition's flow arc. Pushes and all-reduce
   // operations open the arc; a pull continues the arc its push opened, or
-  // opens its own for pulls with no tracked push (e.g. step-start reads).
+  // opens its own when no push of its partition was traced (no TrainingJob
+  // path does that today; core_test covers it).
   FlowPhase phase = FlowPhase::kStep;
   if (st.flow == 0) {
     if (st.type == CommOpType::kPull) {

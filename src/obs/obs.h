@@ -63,7 +63,7 @@ class ObsContext {
   }
 
   // The open flow of a partition, or 0 when none (e.g. a pull admitted with
-  // no tracked push, as in the TF step-start variable reads).
+  // no tracked push).
   uint64_t LookupPartitionFlow(int worker, int64_t tensor_id, int partition) const {
     return slots_.empty() ? 0 : slots_[Probe(worker, tensor_id, partition)].flow;
   }

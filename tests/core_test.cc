@@ -2,12 +2,18 @@
 
 #include <deque>
 #include <functional>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/common/trace.h"
 #include "src/core/comm_task.h"
 #include "src/core/scheduler_core.h"
+#include "src/obs/json_lite.h"
+#include "src/obs/obs.h"
+#include "src/sim/simulator.h"
 
 namespace bsched {
 namespace {
@@ -334,6 +340,57 @@ TEST(SchedulerCoreTest, PropertyAdmissionIsPriorityOrderedUnderSerialCredit) {
   for (int i = 1; i < 20; ++i) {
     EXPECT_EQ(backend.started[i].layer, i - 1) << "admission " << i;
   }
+}
+
+// A traced pull admitted with no earlier push for its partition opens its
+// own flow arc: the admit point is the arc's start ("ph":"s") and the pull's
+// finish ends it. TrainingJob never takes this branch today: every pull it
+// issues (a PS pull, or a TF step-start variable read) follows the push of
+// the same partition on the same Core, whose arc stays open until a pull
+// closes it (checked on traced MXNet and TF PS jobs, synchronous and
+// asynchronous, in every mode). This Core-level test is its only coverage.
+TEST(SchedulerCoreTest, TracedPullWithoutPushOpensItsOwnFlow) {
+  Simulator sim;
+  TraceRecorder trace;
+  ObsContext obs(&trace, nullptr);
+  MockBackend backend;
+  SchedulerCore core(SchedulerConfig::ByteScheduler(MiB(1), SchedulerConfig::kUnlimited),
+                     &backend, /*worker_id=*/0, &sim, /*faults=*/nullptr, &obs);
+  const CommTaskId pull = core.Enqueue(MakeDesc(0, MiB(2), CommOpType::kPull));
+  core.NotifyReady(pull);
+  ASSERT_EQ(backend.started.size(), 2u);
+  const uint64_t flow0 = backend.started[0].flow;
+  const uint64_t flow1 = backend.started[1].flow;
+  EXPECT_NE(flow0, 0u);
+  EXPECT_NE(flow1, 0u);
+  EXPECT_NE(flow0, flow1);
+  EXPECT_EQ(obs.LookupPartitionFlow(0, 0, 0), flow0);
+  backend.FinishAll();
+  EXPECT_EQ(obs.LookupPartitionFlow(0, 0, 0), 0u);
+  EXPECT_EQ(obs.LookupPartitionFlow(0, 0, 1), 0u);
+
+  std::ostringstream os;
+  trace.WriteChromeTrace(os);
+  obs::JsonValue root;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(os.str(), &root, &error)) << error;
+  std::map<std::string, std::string> admit_phase;  // admit name -> phase
+  std::map<uint64_t, std::string> phases;          // flow id -> phases in order
+  for (const obs::JsonValue& ev : root.array) {
+    const std::string ph = ev.Find("ph")->str;
+    if (ph != "s" && ph != "t" && ph != "f") {
+      continue;
+    }
+    phases[static_cast<uint64_t>(ev.Find("id")->IntOr(0))] += ph;
+    const std::string name = ev.Find("name")->str;
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, ".admit") == 0) {
+      admit_phase[name] = ph;
+    }
+  }
+  EXPECT_EQ(admit_phase["t0.p0.pull.admit"], "s");
+  EXPECT_EQ(admit_phase["t0.p1.pull.admit"], "s");
+  EXPECT_EQ(phases[flow0], "sf");
+  EXPECT_EQ(phases[flow1], "sf");
 }
 
 }  // namespace
