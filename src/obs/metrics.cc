@@ -1,12 +1,30 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "src/common/stats.h"
 #include "src/obs/json_lite.h"
 
 namespace bsched {
+
+char* PutPercentile(char* p, double v) {
+  // std::to_chars writes the same bytes as printf("%.4f") in the C locale.
+  if (!std::signbit(v) && v < 0x1p63 && v == std::trunc(v)) {
+    return std::to_chars(p, p + kPercentileChars, static_cast<int64_t>(v)).ptr;
+  }
+  char* end = std::to_chars(p, p + kPercentileChars, v, std::chars_format::fixed, 4).ptr;
+  while (end > p && end[-1] == '0') {
+    --end;
+  }
+  if (end > p && end[-1] == '.') {
+    --end;
+  }
+  return end;
+}
 
 int64_t Histogram::BucketUpperBound(int index) {
   if (index <= 0) {
@@ -188,8 +206,12 @@ void MetricsSnapshot::WriteCsv(std::ostream& os) const {
   }
   for (const auto& [name, h] : histograms) {
     const std::vector<double> p = h.Percentiles({50.0, 95.0, 99.0});
-    os << "histogram," << name << ",," << h.count << "," << h.sum << "," << p[0] << ","
-       << p[1] << "," << p[2] << "\n";
+    os << "histogram," << name << ",," << h.count << "," << h.sum;
+    for (double v : p) {
+      char cell[kPercentileChars];
+      os << ',' << std::string_view(cell, PutPercentile(cell, v) - cell);
+    }
+    os << '\n';
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -121,6 +122,14 @@ class Histogram {
 // every tick with the window's bucket deltas.
 void SketchPercentiles(std::span<const uint64_t, Histogram::kNumBuckets> buckets, uint64_t count,
                        std::span<const double> ps, std::span<double> out);
+
+// Percentile cells of the metrics and time-series CSVs: "%.4f" with trailing
+// zeros (and then a bare '.') trimmed, so an integral estimate prints as an
+// integer and no cell ever takes an exponent. Writes at most
+// kPercentileChars bytes at `p` (the widest is the top bucket bound 2^63,
+// "9223372036854775808.0000") and returns the end.
+constexpr size_t kPercentileChars = 24;
+char* PutPercentile(char* p, double v);
 
 // Point-in-time export of a whole registry. Maps are name-sorted, so two
 // snapshots of identical metric state serialize byte-identically regardless

@@ -21,33 +21,15 @@ constexpr size_t kSketchWords = 2 + std::size(kTickPercentiles);
 
 constexpr std::string_view kHeader = "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n";
 constexpr std::string_view kScalarTail = ",,,,,\n";
-// Widest cells: an int64 with its sign, and a percentile in "%.4f" form —
-// at most the top bucket bound 2^63, "9223372036854775808.0000".
+// Widest integer cell: an int64 with its sign. Percentile cells use
+// PutPercentile (src/obs/metrics.h).
 constexpr size_t kIntChars = 20;
-constexpr size_t kPercentileChars = 24;
 // Formatted rows are spilled in chunks of about this many bytes.
 constexpr size_t kChunkBytes = size_t{64} << 10;
 
-// std::to_chars writes the same bytes as printf("%lld") / printf("%.4f") in
-// the C locale, without the format-string parse or the locale lookup.
+// std::to_chars writes the same bytes as printf("%lld") in the C locale,
+// without the format-string parse or the locale lookup.
 char* PutInt(char* p, int64_t v) { return std::to_chars(p, p + kIntChars, v).ptr; }
-
-// Fixed-format double for CSV cells: deterministic across platforms for the
-// integer-derived percentile estimates we emit, and trailing-zero-trimmed so
-// the common integral case reads cleanly.
-char* PutPercentile(char* p, double v) {
-  if (!std::signbit(v) && v < 0x1p63 && v == std::trunc(v)) {
-    return PutInt(p, static_cast<int64_t>(v));  // "%.4f" trimmed to its integer
-  }
-  char* end = std::to_chars(p, p + kPercentileChars, v, std::chars_format::fixed, 4).ptr;
-  while (end > p && end[-1] == '0') {
-    --end;
-  }
-  if (end > p && end[-1] == '.') {
-    --end;
-  }
-  return end;
-}
 
 char* Put(char* p, std::string_view text) {
   std::memcpy(p, text.data(), text.size());

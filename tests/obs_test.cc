@@ -408,6 +408,39 @@ TEST(MetricsSnapshotTest, CsvShape) {
   EXPECT_NE(csv.find("histogram,h"), std::string::npos);
 }
 
+// Millisecond-scale latencies in ns interpolate to seven-digit, non-integral
+// percentiles; they print like the time-series CSV's ("%.4f", trailing zeros
+// trimmed), never in the stream's default exponent form ("1.61604e+06").
+TEST(MetricsSnapshotTest, CsvPercentilesAreFixedPoint) {
+  MetricsRegistry reg;
+  for (int64_t ns = 1'000'000; ns <= 2'200'000; ns += 10'000) {
+    reg.histogram("lat_ns")->Observe(ns);
+  }
+  std::ostringstream os;
+  reg.Snapshot().WriteCsv(os);
+  const std::string csv = os.str();
+  const size_t row = csv.find("histogram,lat_ns,,121,");
+  ASSERT_NE(row, std::string::npos) << csv;
+  std::vector<std::string> cells;
+  std::stringstream line(csv.substr(row, csv.find('\n', row) - row));
+  for (std::string cell; std::getline(line, cell, ',');) {
+    cells.push_back(cell);
+  }
+  ASSERT_EQ(cells.size(), 8u);
+  for (size_t i = 5; i < 8; ++i) {
+    SCOPED_TRACE(cells[i]);
+    EXPECT_EQ(cells[i].find_first_of("eE"), std::string::npos);
+    const double v = std::stod(cells[i]);
+    // Inside the samples' power-of-two buckets, [2^19, 2^22).
+    EXPECT_GE(v, 524288.0);
+    EXPECT_LT(v, 4194304.0);
+    const size_t dot = cells[i].find('.');
+    if (dot != std::string::npos) {
+      EXPECT_LE(cells[i].size() - dot - 1, 4u);
+    }
+  }
+}
+
 // ---- pool stats (per-worker task counts / idle time) ----------------------
 
 TEST(PoolStatsTest, SweepRunnerAccountsEveryTask) {

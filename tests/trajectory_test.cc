@@ -259,10 +259,10 @@ TEST(TrajectoryPinTest, TimeSeriesAndMetricsCsv) {
   const std::vector<CsvPin> pins = {
       {"mxnet_rdma_bytescheduler",
        Job(Vgg16(), Setup::MxnetPsRdma(), 2, 100, SchedMode::kByteScheduler), 10698,
-       10107500440778084370ull, 1375963041438328737ull},
+       10107500440778084370ull, 712967330919896707ull},
       {"fig15_aimd_bytescheduler",
        VolatileAimd(Job(ResNet50(), Setup::MxnetPsTcp(), 2, 25, SchedMode::kByteScheduler)), 9590,
-       16414662488301330103ull, 12851385419734173004ull},
+       16414662488301330103ull, 10725668093544028847ull},
   };
   for (const CsvPin& pin : pins) {
     SCOPED_TRACE(pin.name);
