@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"workload\": \"churn\",\n");
   std::fprintf(out, "    \"events\": %d,\n", churn_events);
   std::fprintf(out, "    \"rounds\": %d,\n", rounds);
-  std::fprintf(out, "    \"queue\": \"binary_heap\",\n");
+  std::fprintf(out, "    \"queue\": \"4ary_heap\",\n");
   std::fprintf(out, "    \"events_per_sec\": %.0f,\n", churn.events_per_sec);
   std::fprintf(out, "    \"legacy_events_per_sec\": %.0f,\n", legacy.events_per_sec);
   std::fprintf(out, "    \"speedup_vs_legacy\": %.3f\n", speedup_vs_legacy);

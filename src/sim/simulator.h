@@ -8,14 +8,16 @@
 // Hot-path design: events live in a pooled slot table (reused across the
 // run, so steady-state scheduling allocates nothing), callbacks are stored
 // in a small-buffer-optimized EventFn (no heap allocation for closures that
-// fit its inline buffer), and cancellation is a slot-generation check instead of a
-// per-event shared_ptr control block. Cancelled entries still queued are
-// lazily skipped, and the queue is compacted when they pile up. The queue is
-// one flat binary min-heap of 32-byte entries (std::push_heap / pop_heap over
-// a vector the Simulator owns), ordered by (when, seq). seq is unique, so the
-// order is total and any correct priority queue pops the same sequence; the
-// timer wheel this heap replaced measured slower on real jobs (EXPERIMENTS.md
-// "Event queue: one flat heap").
+// fit its inline buffer), and cancellation is a key comparison instead of a
+// per-event shared_ptr control block: each slot stores the key of the event
+// that owns it, and a queued entry is live iff its key still matches.
+// Cancelled entries still queued are lazily skipped, and the queue is
+// compacted when they pile up. The queue is one flat 4-ary min-heap of
+// 16-byte entries over a vector the Simulator owns, ordered by (when, key).
+// The key's high bits are the scheduling sequence number, which is unique,
+// so the order is total and any correct priority queue pops the same
+// sequence; the timer wheel this heap replaced measured slower on real jobs
+// (EXPERIMENTS.md "Event queue: one flat heap", "Event entry: 16 bytes").
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -36,33 +38,27 @@ namespace bsched {
 // (callbacks, subtasks) in the owning entity's queues and tables.
 using EventFn = InlineFn<void()>;
 
-// One queued event: 32 bytes, so the heap permutes these and never the
-// callbacks, which stay in the Simulator's slot pool.
+// One queued event: 16 bytes, so the heap permutes these and never the
+// callbacks, which stay in the Simulator's slot pool. key is
+// seq << kEventSlotBits | slot, where seq counts ScheduleAt calls; ordering
+// by (when, key) is therefore ordering by (when, seq): earlier time first,
+// then FIFO among equal times.
 struct EventEntry {
   SimTime when;
-  uint64_t seq;
-  uint64_t generation;
-  uint32_t slot;
+  uint64_t key;
 };
+static_assert(sizeof(EventEntry) == 16);
 
-// Min-heap comparator: true when `a` fires after `b` (later time, or same
-// time but scheduled later — FIFO tie-break).
-struct EventAfter {
-  bool operator()(const EventEntry& a, const EventEntry& b) const {
-    if (a.when != b.when) {
-      return a.when > b.when;
-    }
-    return a.seq > b.seq;
-  }
-};
+inline constexpr int kEventSlotBits = 24;
+inline constexpr uint64_t kEventSlotMask = (uint64_t{1} << kEventSlotBits) - 1;
 
 class Simulator;
 
 // Handle returned by Schedule(); allows cancelling a pending event. Copyable;
-// all copies refer to the same event. A handle is a (slot, generation) pair:
-// once the event fires or is cancelled the slot's generation advances, so
-// stale handles (including ones whose slot was reused by a later event) are
-// harmless no-ops. Handles must not outlive their Simulator.
+// all copies refer to the same event. A handle carries the event's key: once
+// the event fires or is cancelled its slot no longer holds that key (a later
+// event reusing the slot has a fresh seq), so stale handles are harmless
+// no-ops. Handles must not outlive their Simulator.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -74,12 +70,10 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  EventHandle(Simulator* sim, uint32_t slot, uint64_t generation)
-      : sim_(sim), slot_(slot), generation_(generation) {}
+  EventHandle(Simulator* sim, uint64_t key) : sim_(sim), key_(key) {}
 
   Simulator* sim_ = nullptr;
-  uint32_t slot_ = 0;
-  uint64_t generation_ = 0;
+  uint64_t key_ = 0;
 };
 
 class Simulator {
@@ -133,22 +127,28 @@ class Simulator {
  private:
   friend class EventHandle;
 
+  // A free slot's key: no event has it, since seq stays below 2^40 - 1.
+  static constexpr uint64_t kFreeKey = ~uint64_t{0};
+
   struct Slot {
-    uint64_t generation = 0;
+    uint64_t key = kFreeKey;  // key of the event that owns the slot
     EventFn fn;
   };
 
   bool EntryLive(const EventEntry& e) const {
-    return slots_[e.slot].generation == e.generation;
+    return slots_[e.key & kEventSlotMask].key == e.key;
   }
   // Removes the earliest entry from the heap and returns it.
   EventEntry PopEarliest();
+  // Hole-based 4-ary heap moves: place `e` at or above / at or below index i.
+  void SiftUp(size_t i, EventEntry e);
+  void SiftDown(size_t i, EventEntry e);
   // Fires `e`, which must be live: releases its slot, advances time, runs fn.
   void Fire(const EventEntry& e);
-  // Advances the slot's generation (invalidating queued entries and handles)
-  // and returns it to the free list.
+  // Marks the slot free (invalidating its queued entry and handles) and
+  // returns it to the free list.
   void ReleaseSlot(uint32_t slot);
-  void CancelEvent(uint32_t slot, uint64_t generation);
+  void CancelEvent(uint64_t key);
   // Rebuilds the queue without stale entries once they dominate it.
   void MaybeCompact();
 
@@ -158,7 +158,7 @@ class Simulator {
   uint64_t compactions_ = 0;
   uint64_t skipped_cancelled_ = 0;
   size_t live_ = 0;
-  std::vector<EventEntry> heap_;  // binary min-heap under EventAfter
+  std::vector<EventEntry> heap_;  // 4-ary min-heap by (when, key)
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 };

@@ -1,4 +1,4 @@
-// Differential tests for Simulator's event queue (a flat binary min-heap
+// Differential tests for Simulator's event queue (a flat 4-ary min-heap
 // ordered by (when, seq)): every test drives the Simulator and
 // ReferenceSimulator, a plain std::set-ordered loop, through the same
 // randomized schedule / cancel / step / run-to-deadline script and demands
@@ -177,6 +177,67 @@ TEST(EventQueueDifferentialTest, CompactDropsExactlyDeadEntries) {
     const SimScript heap = RunMassCancel<Simulator, EventHandle>(seed);
     const SimScript oracle = RunMassCancel<ReferenceSimulator, ReferenceSimulator::Handle>(seed);
     EXPECT_GE(heap.compactions, 1u) << "seed " << seed;
+    EXPECT_TRUE(heap == oracle) << "divergence at seed " << seed;
+  }
+}
+
+// A heap several levels deep (hundreds of pending events) under steady
+// schedule / cancel / pop traffic, with periodic mass cancellations that
+// trigger compaction, so the 4-ary sift-up, sift-down and the rebuild after
+// compaction all run on large heaps with tied timestamps.
+template <typename Sim, typename Handle>
+SimScript RunDeepHeapWithCompaction(uint64_t seed, size_t* max_queued) {
+  Sim sim;
+  Rng rng(seed * 7919 + 3);
+  SimScript script;
+  std::vector<Handle> handles;
+  auto schedule = [&] {
+    const int id = static_cast<int>(handles.size());
+    const int64_t delay = rng.NextDouble() < 0.3 ? 100 : rng.UniformInt(0, 1'000'000);
+    const int64_t when = sim.Now().nanos() + delay;
+    handles.push_back(sim.ScheduleAt(SimTime::Nanos(when), [&script, &sim, id] {
+      script.fired.push_back(id);
+      script.fired.push_back(sim.Now().nanos());
+    }));
+  };
+  for (int i = 0; i < 400; ++i) {
+    schedule();
+  }
+  for (int op = 0; op < 12000; ++op) {
+    if (op % 1500 == 1499) {
+      // Most events scheduled in the last 1000 ops are still pending.
+      for (size_t i = handles.size() - 1000; i < handles.size(); ++i) {
+        if (rng.NextDouble() < 0.8) {
+          handles[i].Cancel();
+        }
+      }
+    }
+    const double r = rng.NextDouble();
+    if (r < 0.5) {
+      schedule();
+    } else if (r < 0.6) {
+      handles[rng.UniformInt(0, static_cast<int64_t>(handles.size()) - 1)].Cancel();
+    } else {
+      sim.Step();
+    }
+    *max_queued = std::max(*max_queued, sim.QueuedEvents());
+    Record(sim, &script);
+  }
+  sim.Run();
+  Finish(sim, &script);
+  return script;
+}
+
+TEST(EventQueueDifferentialTest, DeepHeapWithCompactionMatchesOracle) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    size_t max_queued = 0;
+    size_t oracle_max_queued = 0;
+    const SimScript heap = RunDeepHeapWithCompaction<Simulator, EventHandle>(seed, &max_queued);
+    const SimScript oracle =
+        RunDeepHeapWithCompaction<ReferenceSimulator, ReferenceSimulator::Handle>(
+            seed, &oracle_max_queued);
+    EXPECT_GE(max_queued, 300u) << "seed " << seed;
+    EXPECT_GE(heap.compactions, 3u) << "seed " << seed;
     EXPECT_TRUE(heap == oracle) << "divergence at seed " << seed;
   }
 }

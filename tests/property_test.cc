@@ -196,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoreFuzzTest, ::testing::Range<uint64_t>(0, 16))
 // ---- event-queue differential property --------------------------------------
 
 // For any randomized schedule/cancel/run-to-deadline workload, the Simulator
-// (a flat binary heap) and ReferenceSimulator (a std::set-ordered oracle) must
+// (a flat 4-ary heap) and ReferenceSimulator (a std::set-ordered oracle) must
 // fire the same events at the same times with identical accounting. The suite
 // name dates from when two queue policies were compared; deeper structural
 // cases live in tests/event_queue_test.cc.

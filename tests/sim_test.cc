@@ -260,8 +260,8 @@ TEST(SimulatorTest, StaleHandleDoesNotCancelSlotReuser) {
   EventHandle old_handle = sim.Schedule(SimTime::Micros(1), [&] { ++first; });
   sim.Run();
   EXPECT_EQ(first, 1);
-  // The new event reuses the fired event's pooled slot; the stale handle's
-  // generation no longer matches, so Cancel must be a no-op.
+  // The new event reuses the fired event's pooled slot; the slot now holds
+  // the new event's key, not the stale handle's, so Cancel must be a no-op.
   EventHandle fresh = sim.Schedule(SimTime::Micros(1), [&] { ++second; });
   EXPECT_EQ(sim.AllocatedSlots(), 1u);
   old_handle.Cancel();
@@ -278,7 +278,7 @@ TEST(SimulatorTest, StaleHandleAfterCancellationDoesNotCancelSlotReuser) {
   int fired = 0;
   EventHandle doomed = sim.Schedule(SimTime::Micros(1), [] { FAIL(); });
   doomed.Cancel();
-  EventHandle copy = doomed;  // copies share the stale (slot, generation)
+  EventHandle copy = doomed;  // copies share the stale key
   sim.Schedule(SimTime::Micros(2), [&] { ++fired; });  // reuses the slot
   copy.Cancel();
   doomed.Cancel();
