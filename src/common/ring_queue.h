@@ -5,8 +5,11 @@
 //     frees and reallocates a block every few hundred push/pop pairs).
 //   - SlotPool<T>: a free-list slab of records addressed by a 32-bit index,
 //     so a closure can carry `this` plus an index instead of the record.
-// T must be default-constructible and move-assignable; a released element is
-// reset to T{} so it drops what it held (e.g. a callback's captures).
+// T must be default-constructible and move-assignable. A RingQueue element
+// popped off the front is reset to T{}, so it drops what it held (e.g. a
+// callback's captures). A released SlotPool record is not reset: callers move
+// out every member that owns something (a callback) before Release, and
+// overwrite the whole record after Acquire.
 #ifndef SRC_COMMON_RING_QUEUE_H_
 #define SRC_COMMON_RING_QUEUE_H_
 
@@ -70,8 +73,10 @@ class RingQueue {
 template <typename T>
 class SlotPool {
  public:
-  // Index of a fresh default-state record. References to other records stay
-  // valid (the slab never moves an element).
+  // Index of a record to overwrite: fresh, or as its last holder released
+  // it. References to other records stay valid: the slab is a std::deque,
+  // which never moves an element (a std::vector slab measured faster but
+  // grew peak memory, EXPERIMENTS.md "Event entry: 16 bytes").
   uint32_t Acquire() {
     if (free_.empty()) {
       items_.emplace_back();
@@ -85,10 +90,8 @@ class SlotPool {
   T& operator[](uint32_t id) { return items_[id]; }
   const T& operator[](uint32_t id) const { return items_[id]; }
 
-  void Release(uint32_t id) {
-    items_[id] = T{};
-    free_.push_back(id);
-  }
+  // Returns the record to the free list unreset (see the header comment).
+  void Release(uint32_t id) { free_.push_back(id); }
 
   // Records currently acquired.
   size_t live() const { return items_.size() - free_.size(); }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "src/common/inline_fn.h"
+#include "src/common/ring_queue.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -257,6 +261,102 @@ TEST(TableTest, RowPaddedToHeaderWidth) {
 TEST(TableTest, NumFormatting) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Num(10.0, 0), "10");
+}
+
+template <typename T>
+std::vector<T> Drain(RingQueue<T>* q) {
+  std::vector<T> out;
+  while (!q->empty()) {
+    out.push_back(q->front());
+    q->pop_front();
+  }
+  return out;
+}
+
+TEST(RingQueueTest, InsertMidFifoKeepsOrder) {
+  // SchedulerCore::PushReady slots a requeued retry back among later
+  // arrivals this way.
+  RingQueue<int> q;
+  for (int v : {10, 20, 40, 50}) {
+    q.push_back(v);
+  }
+  q.Insert(2, 30);
+  q.Insert(0, 0);
+  q.Insert(q.size(), 60);
+  EXPECT_EQ(q.size(), 7u);
+  EXPECT_EQ(q[3], 30);
+  EXPECT_EQ(Drain(&q), (std::vector<int>{0, 10, 20, 30, 40, 50, 60}));
+}
+
+TEST(RingQueueTest, WrapAroundSurvivesGrow) {
+  RingQueue<int> q;
+  // Move the head to slot 5 of the initial 8, so the next pushes wrap.
+  for (int v = 0; v < 6; ++v) {
+    q.push_back(v);
+  }
+  for (int v = 0; v < 5; ++v) {
+    q.pop_front();
+  }
+  for (int v = 6; v < 12; ++v) {
+    q.push_back(v);  // 7 of 8 slots used, wrapped past the end
+  }
+  q.Insert(4, 100);  // mid insert whose swaps cross the wrap point
+  q.push_back(12);   // full while wrapped: grows
+  q.push_back(13);
+  EXPECT_EQ(Drain(&q), (std::vector<int>{5, 6, 7, 8, 100, 9, 10, 11, 12, 13}));
+  // Reused after draining: still FIFO.
+  q.push_back(1);
+  q.push_back(2);
+  EXPECT_EQ(Drain(&q), (std::vector<int>{1, 2}));
+}
+
+TEST(SlotPoolTest, ReleasedSlotsAreReusedLifo) {
+  SlotPool<int> pool;
+  const uint32_t a = pool.Acquire();
+  const uint32_t b = pool.Acquire();
+  const uint32_t c = pool.Acquire();
+  EXPECT_EQ(pool.live(), 3u);
+  pool.Release(a);
+  pool.Release(c);
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(pool.Acquire(), c);
+  EXPECT_EQ(pool.Acquire(), a);
+  EXPECT_EQ(pool.Acquire(), 3u);  // free list empty: a fresh record
+  EXPECT_NE(a, b);
+  EXPECT_EQ(pool.live(), 4u);
+}
+
+TEST(SlotPoolTest, ReferencesStayValidAcrossAcquire) {
+  SlotPool<std::pair<int, int>> pool;
+  const uint32_t first = pool.Acquire();
+  pool[first] = {7, 8};
+  std::pair<int, int>& ref = pool[first];
+  for (int i = 0; i < 10000; ++i) {
+    pool[pool.Acquire()] = {i, i};
+  }
+  EXPECT_EQ(&ref, &pool[first]);
+  EXPECT_EQ(ref, (std::pair<int, int>{7, 8}));
+}
+
+TEST(SlotPoolTest, ReleaseAfterMovingOutHoldsNothing) {
+  // Release does not reset the record; the callers' contract is to move the
+  // owning member out first, which leaves nothing alive in the slab.
+  struct Record {
+    int value = 0;
+    InlineFn<void()> fn;
+  };
+  SlotPool<Record> pool;
+  auto token = std::make_shared<int>(1);
+  const uint32_t id = pool.Acquire();
+  pool[id] = Record{5, [token] {}};
+  EXPECT_EQ(token.use_count(), 2);
+  {
+    InlineFn<void()> fn = std::move(pool[id].fn);
+    pool.Release(id);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(pool.Acquire(), id);
+  EXPECT_FALSE(pool[id].fn);
 }
 
 }  // namespace
