@@ -17,6 +17,12 @@ OpId DagEngine::AddOp(std::string name, OpFn fn) {
   return static_cast<OpId>(ops_.size() - 1);
 }
 
+OpId DagEngine::AddOp(OpLabel label, OpFn fn) {
+  const OpId id = AddOp(std::string(), std::move(fn));
+  ops_[id].label = label;
+  return id;
+}
+
 void DagEngine::AddDep(OpId before, OpId after) {
   BSCHED_CHECK(!started_);
   BSCHED_CHECK(before >= 0 && before < static_cast<OpId>(ops_.size()));
@@ -67,9 +73,18 @@ void DagEngine::OnOpDone(OpId id) {
   }
 }
 
-const std::string& DagEngine::OpName(OpId id) const {
+std::string DagEngine::OpName(OpId id) const {
   BSCHED_CHECK(id >= 0 && id < static_cast<OpId>(ops_.size()));
-  return ops_[id].name;
+  const OpNode& node = ops_[id];
+  const OpLabel& label = node.label;
+  std::string name = node.name + label.stem;
+  if (label.a >= 0) {
+    name += std::to_string(label.a);
+  }
+  if (label.b >= 0) {
+    name += "_" + std::to_string(label.b);
+  }
+  return name + label.suffix;
 }
 
 bool DagEngine::OpDone(OpId id) const {

@@ -19,6 +19,17 @@ namespace bsched {
 using OpId = int32_t;
 inline constexpr OpId kInvalidOp = -1;
 
+// An op name made of literals and indices, e.g. {"f", k, i} for "f<k>_<i>"
+// or {"f", k, i, ".pre_hook"}; a negative index is left out. Nothing reads
+// op names on the job path, so it builds its DAGs with labels and the text
+// is formatted only when OpName() asks for it.
+struct OpLabel {
+  const char* stem = "";
+  int a = -1;
+  int b = -1;
+  const char* suffix = "";
+};
+
 class DagEngine {
  public:
   // Completion callback handed to every op; the op must invoke it exactly
@@ -33,6 +44,7 @@ class DagEngine {
 
   // Adds an operation; ops may be added only before Start().
   OpId AddOp(std::string name, OpFn fn);
+  OpId AddOp(OpLabel label, OpFn fn);
 
   // Declares that `before` must complete before `after` starts.
   void AddDep(OpId before, OpId after);
@@ -45,12 +57,13 @@ class DagEngine {
   bool AllDone() const { return ops_completed_ == ops_.size(); }
   size_t ops_completed() const { return ops_completed_; }
   size_t num_ops() const { return ops_.size(); }
-  const std::string& OpName(OpId id) const;
+  std::string OpName(OpId id) const;
   bool OpDone(OpId id) const;
 
  private:
   struct OpNode {
-    std::string name;
+    std::string name;  // text of an op added by name; empty for a label
+    OpLabel label;
     OpFn fn;
     std::vector<OpId> dependents;
     int indegree = 0;

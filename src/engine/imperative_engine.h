@@ -28,13 +28,19 @@ class ImperativeEngine {
   void RegisterBackwardHook(int layer, DagEngine::OpFn hook);
 
   // Stream ops: strictly FIFO with everything else posted to the stream.
+  // Each takes a name or an OpLabel (see DagEngine); a hook op is named
+  // after its layer op with a ".pre_hook" / ".hook" suffix.
   OpId Post(std::string name, DagEngine::OpFn fn);
+  OpId Post(OpLabel label, DagEngine::OpFn fn);
   OpId PostForward(int layer, std::string name, DagEngine::OpFn fn);
+  OpId PostForward(int layer, OpLabel label, DagEngine::OpFn fn);
   OpId PostBackward(int layer, std::string name, DagEngine::OpFn fn);
+  OpId PostBackward(int layer, OpLabel label, DagEngine::OpFn fn);
 
   // Off-stream op (communication library thread). Runs when its explicit
   // dependencies (if any) are done.
   OpId PostBackground(std::string name, DagEngine::OpFn fn);
+  OpId PostBackground(OpLabel label, DagEngine::OpFn fn);
 
   // Explicit extra dependency edge (e.g. barrier waits on communication).
   void After(OpId before, OpId after);
@@ -45,6 +51,10 @@ class ImperativeEngine {
 
  private:
   OpId Chain(OpId op);
+  template <typename Name>
+  OpId PostForwardAs(int layer, Name name, DagEngine::OpFn fn);
+  template <typename Name>
+  OpId PostBackwardAs(int layer, Name name, DagEngine::OpFn fn);
 
   DagEngine dag_;
   OpId last_stream_op_ = kInvalidOp;

@@ -581,9 +581,8 @@ class TrainingJob {
       // Forward chain.
       std::vector<OpId> f(num_layers_);
       for (int i = 0; i < num_layers_; ++i) {
-        f[i] = dag.AddOp("f" + std::to_string(k) + "_" + std::to_string(i),
-                         ComputeOp(worker, model.layers[i].fp_time,
-                                   ComputeName(trace_ids_.fp, k, i)));
+        f[i] = dag.AddOp(OpLabel{"f", k, i}, ComputeOp(worker, model.layers[i].fp_time,
+                                                       ComputeName(trace_ids_.fp, k, i)));
         if (i > 0) {
           dag.AddDep(f[i - 1], f[i]);
         }
@@ -598,8 +597,7 @@ class TrainingJob {
             dag.AddDep(prev_comm[i], f[i]);
           }
           if (prev_proxy[i] != nullptr) {
-            OpId proxy_op = dag.AddOp("proxy_f" + std::to_string(k) + "_" + std::to_string(i),
-                                      prev_proxy[i]->MakeOpFn());
+            OpId proxy_op = dag.AddOp(OpLabel{"proxy_f", k, i}, prev_proxy[i]->MakeOpFn());
             dag.AddDep(proxy_op, f[i]);
             if (i > 0) {
               // The proxy guards this layer's forward op within the chain.
@@ -618,7 +616,7 @@ class TrainingJob {
       std::vector<OpId> b(num_layers_);
       for (int i = num_layers_ - 1; i >= 0; --i) {
         // The last BP op (layer 0) marks the iteration's BP end.
-        b[i] = dag.AddOp("b" + std::to_string(k) + "_" + std::to_string(i),
+        b[i] = dag.AddOp(OpLabel{"b", k, i},
                          ComputeOp(worker, model.layers[i].bp_time,
                                    ComputeName(trace_ids_.bp, k, i), i == 0 ? k : -1));
         if (i == num_layers_ - 1) {
@@ -638,7 +636,7 @@ class TrainingJob {
       std::fill(prev_comm.begin(), prev_comm.end(), kInvalidOp);
       std::fill(prev_proxy.begin(), prev_proxy.end(), nullptr);
       for (int i = 0; i < num_layers_; ++i) {
-        const std::string name = "comm" + std::to_string(k) + "_" + std::to_string(i);
+        const OpLabel name{"comm", k, i};
         if (tf_vanilla_ps) {
           comm[i] = dag.AddOp(name, [this, worker, i](DagEngine::Done done) {
             StartPsPush(worker, i, std::move(done));
@@ -668,7 +666,7 @@ class TrainingJob {
       }
 
       if (barrier) {
-        OpId barrier_op = dag.AddOp("barrier" + std::to_string(k), nullptr);
+        OpId barrier_op = dag.AddOp(OpLabel{"barrier", k}, nullptr);
         for (int i = 0; i < num_layers_; ++i) {
           dag.AddDep(comm[i], barrier_op);
         }
@@ -677,9 +675,8 @@ class TrainingJob {
           // Step-start variable reads: issued after the barrier, each gating
           // its layer's forward op of the next iteration.
           for (int i = 0; i < num_layers_; ++i) {
-            OpId pull_op = dag.AddOp(
-                "read_var" + std::to_string(k) + "_" + std::to_string(i),
-                [this, worker, i](DagEngine::Done done) {
+            OpId pull_op =
+                dag.AddOp(OpLabel{"read_var", k, i}, [this, worker, i](DagEngine::Done done) {
                   StartPsPull(worker, i, std::move(done));
                 });
             dag.AddDep(barrier_op, pull_op);
@@ -751,22 +748,21 @@ class TrainingJob {
 
     for (int k = 0; k < total_iters_; ++k) {
       for (int i = 0; i < num_layers_; ++i) {
-        eng.PostForward(i, "f" + std::to_string(k) + "_" + std::to_string(i),
-                        ComputeOp(worker, model.layers[i].fp_time,
-                                  ComputeName(trace_ids_.fp, k, i)));
+        eng.PostForward(
+            i, OpLabel{"f", k, i},
+            ComputeOp(worker, model.layers[i].fp_time, ComputeName(trace_ids_.fp, k, i)));
       }
       std::vector<OpId> comm_ops;
       for (int i = num_layers_ - 1; i >= 0; --i) {
-        OpId b_op = eng.PostBackward(i, "b" + std::to_string(k) + "_" + std::to_string(i),
+        OpId b_op = eng.PostBackward(i, OpLabel{"b", k, i},
                                      ComputeOp(worker, model.layers[i].bp_time,
                                                ComputeName(trace_ids_.bp, k, i),
                                                i == 0 ? k : -1));
         if (!scheduled) {
           // Vanilla Horovod: background all-reduce launched in gradient-ready
           // order; the optimizer step below waits for all of them.
-          OpId comm = eng.PostBackground(
-              "comm" + std::to_string(k) + "_" + std::to_string(i),
-              [this, worker, i](DagEngine::Done done) {
+          OpId comm =
+              eng.PostBackground(OpLabel{"comm", k, i}, [this, worker, i](DagEngine::Done done) {
                 StartCommTensor(worker, i, std::move(done));
               });
           eng.After(b_op, comm);
@@ -775,7 +771,7 @@ class TrainingJob {
       }
       // optimizer.step(): the inter-iteration global barrier of Fig. 3. With
       // ByteScheduler it no longer waits for communication (§3.4).
-      OpId step = eng.Post("step" + std::to_string(k), nullptr);
+      OpId step = eng.Post(OpLabel{"step", k}, nullptr);
       for (OpId comm : comm_ops) {
         eng.After(comm, step);
       }

@@ -96,6 +96,14 @@ TEST(DagEngineTest, OpNamesAndDoneFlags) {
   EXPECT_EQ(dag.ops_completed(), 1u);
 }
 
+TEST(DagEngineTest, LabelsFormatOnlyWhenRead) {
+  Simulator sim;
+  DagEngine dag(&sim);
+  EXPECT_EQ(dag.OpName(dag.AddOp(OpLabel{"f", 3, 12}, nullptr)), "f3_12");
+  EXPECT_EQ(dag.OpName(dag.AddOp(OpLabel{"barrier", 7}, nullptr)), "barrier7");
+  EXPECT_EQ(dag.OpName(dag.AddOp(OpLabel{"b", 0, 4, ".hook"}, nullptr)), "b0_4.hook");
+}
+
 TEST(DagEngineTest, LongChainDoesNotOverflowStack) {
   Simulator sim;
   DagEngine dag(&sim);
@@ -208,6 +216,29 @@ TEST(ImperativeEngineTest, BackwardHookRunsAfterLayer) {
   eng.Start();
   sim.Run();
   EXPECT_EQ(log, (std::vector<std::string>{"b3", "hook3", "b2"}));
+}
+
+TEST(ImperativeEngineTest, HookOpsAreNamedAfterTheirLayerOp) {
+  // Hook ops take the layer op's name plus a suffix, for a text name and for
+  // a label alike; ops are numbered in stream order (pre-hook first).
+  Simulator sim;
+  ImperativeEngine eng(&sim);
+  eng.RegisterForwardPreHook(1, nullptr);
+  eng.RegisterBackwardHook(1, nullptr);
+  const OpId f_text = eng.PostForward(1, "f0_1", nullptr);
+  const OpId b_text = eng.PostBackward(1, "b0_1", nullptr);
+  const OpId f_label = eng.PostForward(1, OpLabel{"f", 1, 1}, nullptr);
+  const OpId b_label = eng.PostBackward(1, OpLabel{"b", 1, 1}, nullptr);
+  const DagEngine& dag = eng.dag();
+  EXPECT_EQ(dag.OpName(f_text - 1), "f0_1.pre_hook");
+  EXPECT_EQ(dag.OpName(f_text), "f0_1");
+  EXPECT_EQ(dag.OpName(b_text), "b0_1");
+  EXPECT_EQ(dag.OpName(b_text + 1), "b0_1.hook");
+  EXPECT_EQ(dag.OpName(f_label - 1), "f1_1.pre_hook");
+  EXPECT_EQ(dag.OpName(f_label), "f1_1");
+  EXPECT_EQ(dag.OpName(b_label), "b1_1");
+  EXPECT_EQ(dag.OpName(b_label + 1), "b1_1.hook");
+  EXPECT_EQ(dag.num_ops(), 8u);
 }
 
 TEST(ImperativeEngineTest, AfterAddsExplicitDependency) {
