@@ -118,6 +118,14 @@ void Link::StartNext() {
   d.current_scale = msg.msg_scale;
   d.remaining = static_cast<double>(msg.size);
   d.anchor = sim_->Now() + transport_.serial_overhead;
+  if (d.anchor >= d.unit_from && d.ctrl_scale == 1.0 && d.current_scale == 1.0) {
+    // DynFinishTime would walk one segment at DynRate == EffectiveRate and
+    // land on MessageTime's nanosecond; take the static arithmetic directly.
+    const SimTime occupancy = MessageTime(msg.size);
+    busy_until_ = sim_->Now() + occupancy;
+    d.completion = sim_->Schedule(occupancy, [this] { OnOccupancyEnd(); });
+    return;
+  }
   DynScheduleCompletion();
 }
 
@@ -194,6 +202,10 @@ void Link::SetRateModel(RateModel model) {
                "install the rate model before any traffic");
   dyn_ = std::make_unique<DynState>();
   dyn_->model = std::move(model);
+  const RateStep& last = dyn_->model.steps().back();
+  if (last.scale == 1.0) {
+    dyn_->unit_from = last.start;
+  }
 }
 
 double Link::DynRate(SimTime t) const {

@@ -138,6 +138,10 @@ class Link {
   // pay one pointer of overhead. The message in flight is msgs_.front().
   struct DynState {
     RateModel model;
+    // Start of the schedule's last segment if its scale is 1.0, else Max():
+    // from there on, at ctrl and message scale 1.0, the rate is the static
+    // path's forever and StartNext uses the static arithmetic.
+    SimTime unit_from = SimTime::Max();
     double ctrl_scale = 1.0;
     double current_scale = 1.0;  // msg_scale of the message in flight
     // Payload bytes left to serialize as of `anchor` (transmission starts at
