@@ -111,10 +111,19 @@ SchedulerCore::TaskState& SchedulerCore::LiveTask(CommTaskId id) {
 
 void SchedulerCore::NotifyReady(CommTaskId id) {
   TaskState& state = LiveTask(id);
-  for (int p = 0; p < state.num_parts(); ++p) {
-    if (state.charged[p] == TaskState::kNotReady) {
-      EnqueueReady(state, id, p);
+  // One run per maximal block of partitions not yet ready: usually the whole
+  // task, or what is left once some partitions were readied one by one.
+  for (int p = 0; p < state.num_parts();) {
+    if (state.charged[p] != TaskState::kNotReady) {
+      ++p;
+      continue;
     }
+    int end = p + 1;
+    while (end < state.num_parts() && state.charged[end] == TaskState::kNotReady) {
+      ++end;
+    }
+    EnqueueRun(state, id, p, end);
+    p = end;
   }
   TrySchedule();
 }
@@ -124,7 +133,7 @@ void SchedulerCore::NotifyReadyPartition(CommTaskId id, int partition) {
   BSCHED_CHECK(partition >= 0);
   BSCHED_CHECK(partition < state.num_parts());
   if (state.charged[partition] == TaskState::kNotReady) {
-    EnqueueReady(state, id, partition);
+    EnqueueRun(state, id, partition, partition + 1);
   }
   TrySchedule();
 }
@@ -135,14 +144,14 @@ int SchedulerCore::NumPartitions(CommTaskId id) const {
   return state->num_parts();
 }
 
-SubTaskKey SchedulerCore::KeyFor(const SubCommTask& subtask) {
+SubTaskKey SchedulerCore::KeyOf(const TaskState& state, uint64_t seq) const {
   SubTaskKey key;
-  key.arrival_seq = next_arrival_seq_++;
+  key.arrival_seq = seq;
   if (config_.policy == SchedulerConfig::Policy::kPriority) {
-    key.layer = subtask.layer;
+    key.layer = state.desc.layer;
     // Pulls ahead of pushes at the same layer: a finished pull directly
     // unblocks next-iteration forward compute.
-    key.type_rank = (subtask.type == CommOpType::kPush) ? 1 : 0;
+    key.type_rank = (state.desc.type == CommOpType::kPush) ? 1 : 0;
   }
   // For kFifo the key is pure arrival order (layer and type_rank stay 0).
   return key;
@@ -159,32 +168,33 @@ size_t RankOf(const SubTaskKey& key) {
 
 }  // namespace
 
-void SchedulerCore::PushReady(QueuedSubTask entry) {
-  BSCHED_CHECK(entry.key.layer >= 0);
-  const size_t rank = RankOf(entry.key);
+void SchedulerCore::PushRun(const TaskState& state, CommTaskId id, int begin, int end,
+                            uint64_t seq, int attempts) {
+  const SubTaskKey key = KeyOf(state, seq);
+  BSCHED_CHECK(key.layer >= 0);
+  const size_t rank = RankOf(key);
   if (rank >= ranks_.size()) {
     ranks_.resize(rank + 1);
     nonempty_ranks_.resize(rank / 64 + 1, 0);
   }
-  const uint64_t seq = entry.key.arrival_seq;
-  const uint32_t slot = queued_.Acquire();
-  queued_[slot] = std::move(entry);
-  RingQueue<uint32_t>& fifo = ranks_[rank];
+  RingQueue<QueuedRun>& fifo = ranks_[rank];
   size_t pos = fifo.size();
-  while (pos > 0 && queued_[fifo[pos - 1]].key.arrival_seq > seq) {
+  while (pos > 0 && fifo[pos - 1].seq > seq) {
     --pos;  // a requeued retry: slot it back in arrival order
   }
-  fifo.Insert(pos, slot);
+  fifo.Insert(pos, {.task = id, .next = begin, .end = end, .seq = seq, .attempts = attempts,
+                    .ready_at = sim_ != nullptr ? sim_->Now() : SimTime(),
+                    .credit_wait_since = SimTime(), .credit_waiting = false});
+  queued_ += static_cast<size_t>(end - begin);
   nonempty_ranks_[rank / 64] |= uint64_t{1} << (rank % 64);
 }
 
-uint32_t SchedulerCore::HeadSlot() const {
+size_t SchedulerCore::HeadRank() const {
   size_t word = 0;
   while (nonempty_ranks_[word] == 0) {
     ++word;
   }
-  const size_t rank = 64 * word + static_cast<size_t>(std::countr_zero(nonempty_ranks_[word]));
-  return ranks_[rank].front();
+  return 64 * word + static_cast<size_t>(std::countr_zero(nonempty_ranks_[word]));
 }
 
 SubCommTask SchedulerCore::MakeSubTask(const TaskState& state, CommTaskId id,
@@ -201,15 +211,10 @@ SubCommTask SchedulerCore::MakeSubTask(const TaskState& state, CommTaskId id,
   return subtask;
 }
 
-void SchedulerCore::EnqueueReady(TaskState& state, CommTaskId id, int partition) {
-  state.charged[partition] = 0;
-  QueuedSubTask entry;
-  entry.subtask = MakeSubTask(state, id, partition);
-  if (sim_ != nullptr) {
-    entry.ready_at = sim_->Now();
-  }
-  entry.key = KeyFor(entry.subtask);
-  PushReady(std::move(entry));
+void SchedulerCore::EnqueueRun(TaskState& state, CommTaskId id, int begin, int end) {
+  std::fill(state.charged.begin() + begin, state.charged.begin() + end, Bytes{0});
+  PushRun(state, id, begin, end, next_arrival_seq_, /*attempts=*/0);
+  next_arrival_seq_ += static_cast<uint64_t>(end - begin);
 }
 
 void SchedulerCore::TrySchedule() {
@@ -219,18 +224,20 @@ void SchedulerCore::TrySchedule() {
     return;
   }
   scheduling_ = true;
-  while (queued_.live() > 0) {
-    const uint32_t head_slot = HeadSlot();
-    QueuedSubTask& head = queued_[head_slot];
+  while (queued_ > 0) {
+    const size_t rank = HeadRank();
+    QueuedRun& head = ranks_[rank].front();
+    const TaskState& state = LiveTask(head.task);
+    const Bytes bytes = state.PartBytes(head.next);
     // Credits model the *sender's* buffer (§4.2): pushes and all-reduce
     // operations fill it; pull responses are sent by the server and consume
     // the server-side egress queue instead, so they admit freely.
-    const bool charges_credit = head.subtask.type != CommOpType::kPull;
+    const bool charges_credit = state.desc.type != CommOpType::kPull;
     // Algorithm 1 line 16: wait unless the credit covers the head subtask.
     // A subtask larger than the whole credit pool is admitted only when the
     // pool is full, otherwise it could never start.
-    const bool can_start = !charges_credit || credit_ >= head.subtask.bytes ||
-                           credit_ == config_.credit_bytes;
+    const bool can_start =
+        !charges_credit || credit_ >= bytes || credit_ == config_.credit_bytes;
     if (!can_start) {
       // Stamp the moment the head first starved on credit; RecordAdmit
       // splits the wait span there. No event is scheduled, so the
@@ -241,30 +248,35 @@ void SchedulerCore::TrySchedule() {
       }
       break;
     }
-    const size_t depth_before = queued_.live();
-    const size_t rank = RankOf(head.key);
-    ranks_[rank].pop_front();
-    if (ranks_[rank].empty()) {
-      nonempty_ranks_[rank / 64] &= ~(uint64_t{1} << (rank % 64));
+    // Take the partition off its run before StartAttempt: the backend may
+    // complete inline and re-enter the Core, and a new run can grow ranks_
+    // or a FIFO, so no reference into them may survive the call.
+    const QueuedRun run = head;
+    if (++head.next == head.end) {
+      ranks_[rank].pop_front();
+      if (ranks_[rank].empty()) {
+        nonempty_ranks_[rank / 64] &= ~(uint64_t{1} << (rank % 64));
+      }
+    } else {
+      ++head.seq;
+      head.credit_waiting = false;
     }
-    QueuedSubTask entry = std::move(head);
-    queued_.Release(head_slot);
-    const Bytes charged = charges_credit ? std::min(entry.subtask.bytes, credit_) : 0;
+    const size_t depth_before = queued_--;
+    const Bytes charged = charges_credit ? std::min(bytes, credit_) : 0;
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
     ++subtasks_started_;
+    SubCommTask subtask = MakeSubTask(state, run.task, run.next);
     if (obs_ != nullptr) {
-      RecordAdmit(entry, charged, depth_before);
+      RecordAdmit(subtask, run, KeyOf(state, run.seq), charged, depth_before);
     }
-    StartAttempt(entry.subtask, entry.key, charged, entry.attempts);
+    StartAttempt(subtask, run.seq, charged, run.attempts);
   }
   scheduling_ = false;
 }
 
-void SchedulerCore::RecordAdmit(QueuedSubTask& entry, Bytes charged,
-                                size_t queue_depth_before) {
-  SubCommTask& st = entry.subtask;
-  const SubTaskKey& key = entry.key;
+void SchedulerCore::RecordAdmit(SubCommTask& st, const QueuedRun& run, const SubTaskKey& key,
+                                Bytes charged, size_t queue_depth_before) {
   if (m_queue_depth_ != nullptr) {
     m_queue_depth_->Observe(static_cast<int64_t>(queue_depth_before));
     m_credit_in_use_->Observe(config_.credit_bytes == SchedulerConfig::kUnlimited
@@ -319,21 +331,21 @@ void SchedulerCore::RecordAdmit(QueuedSubTask& entry, Bytes charged,
   // head, or admit when credit never blocked) and credit-wait (starvation →
   // admit). The critical-path analyzer attributes the two separately.
   const SimTime wait_end =
-      entry.credit_waiting ? std::max(entry.ready_at, entry.credit_wait_since) : now;
+      run.credit_waiting ? std::max(run.ready_at, run.credit_wait_since) : now;
   const auto wait_span = [&](TraceId suffix, SimTime start, SimTime end) {
     name.suffix = suffix;
     trace->AddSpan(ids.track, name, start, end,
                    {{ids.layer, st.layer},
                     {ids.partition, st.partition},
                     {ids.bytes, st.bytes},
-                    {ids.attempt, entry.attempts},
+                    {ids.attempt, run.attempts},
                     {ids.charged, charged}});
   };
-  if (wait_end > entry.ready_at) {
-    wait_span(ids.wait[type], entry.ready_at, wait_end);
+  if (wait_end > run.ready_at) {
+    wait_span(ids.wait[type], run.ready_at, wait_end);
   }
-  if (entry.credit_waiting && now > entry.credit_wait_since) {
-    wait_span(ids.credit_wait[type], entry.credit_wait_since, now);
+  if (run.credit_waiting && now > run.credit_wait_since) {
+    wait_span(ids.credit_wait[type], run.credit_wait_since, now);
   }
   name.suffix = ids.admit[type];
   trace->AddFlow(ids.track, name, now, st.flow, phase);
@@ -347,7 +359,7 @@ SimTime SchedulerCore::AttemptTimeout(int attempts) const {
   return SimTime(static_cast<int64_t>(static_cast<double>(config_.retry.timeout.nanos()) * scale));
 }
 
-void SchedulerCore::StartAttempt(const SubCommTask& subtask, const SubTaskKey& key, Bytes charged,
+void SchedulerCore::StartAttempt(const SubCommTask& subtask, uint64_t seq, Bytes charged,
                                  int attempts) {
   const CommTaskId task = subtask.task;
   const int partition = subtask.partition;
@@ -363,7 +375,7 @@ void SchedulerCore::StartAttempt(const SubCommTask& subtask, const SubTaskKey& k
   }
   Watch& watch = state.watches[partition];
   const uint64_t generation = ++next_generation_;
-  watch.key = key;
+  watch.seq = seq;
   watch.attempts = attempts;
   watch.generation = generation;
   ++inflight_;
@@ -430,12 +442,7 @@ void SchedulerCore::OnAttemptTimeout(CommTaskId task, int partition, uint64_t ge
   }
   // Requeue at the ORIGINAL priority key: the retry competes exactly where
   // the partition always belonged, not behind newer arrivals.
-  QueuedSubTask entry;
-  entry.key = watch.key;
-  entry.subtask = subtask;
-  entry.attempts = watch.attempts + 1;
-  entry.ready_at = sim_->Now();
-  PushReady(std::move(entry));
+  PushRun(*state, task, partition, partition + 1, watch.seq, watch.attempts + 1);
   TrySchedule();
 }
 
@@ -492,19 +499,20 @@ void SchedulerCore::ExportMetrics() const {
   m->counter(prefix + ".late_completions")->Inc(late_completions_);
   m->counter(prefix + ".abandoned")->Inc(subtasks_abandoned_);
   m->gauge(prefix + ".credit_final")->Set(credit_);
-  m->gauge(prefix + ".queue_len_final")->Set(static_cast<int64_t>(queued_.live()));
+  m->gauge(prefix + ".queue_len_final")->Set(static_cast<int64_t>(queued_));
 }
 
 std::string SchedulerCore::DebugString() const {
   std::string out = "core[" + std::to_string(worker_id_) + "] credit=" + std::to_string(credit_) +
                     "/" + std::to_string(config_.credit_bytes) +
-                    " queued=" + std::to_string(queued_.live()) +
+                    " queued=" + std::to_string(queued_) +
                     " unfinished_tasks=" + std::to_string(live_tasks_);
-  if (queued_.live() > 0) {
-    const SubCommTask& head = queued_[HeadSlot()].subtask;
-    out += " head=(layer=" + std::to_string(head.layer) + " " + ToString(head.type) +
-           " part=" + std::to_string(head.partition) + " bytes=" + std::to_string(head.bytes) +
-           ")";
+  if (queued_ > 0) {
+    const QueuedRun& run = ranks_[HeadRank()].front();
+    const TaskState& head = *FindTask(run.task);
+    out += " head=(layer=" + std::to_string(head.desc.layer) + " " + ToString(head.desc.type) +
+           " part=" + std::to_string(run.next) +
+           " bytes=" + std::to_string(head.PartBytes(run.next)) + ")";
   }
   if (recovery_enabled()) {
     out += " retry(timeouts=" + std::to_string(timeouts_fired_) +

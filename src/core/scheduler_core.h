@@ -17,10 +17,14 @@
 // Hot-path layout: task state lives in a window indexed by the dense task id
 // (ids are issued in order; finished tasks are reclaimed from the window's
 // front), per-partition admission and recovery state sits in the task's
-// partition vectors, and the ready queue is one arrival-ordered FIFO per
-// priority rank, which yields SubTaskKey order without comparisons. The
-// completion closures handed to the backend capture only (this, task,
-// partition[, generation]), so they fit the inline callback buffer.
+// partition vectors, and the ready queue is one FIFO of partition runs per
+// priority rank. A run is a block of one task's partitions made ready
+// together, with consecutive arrival sequence numbers, so readying a task
+// costs one queue entry however many partitions it has, and the runs of a
+// rank, kept in arrival order, yield SubTaskKey order without comparisons.
+// The SubCommTask is built only at admit. The completion closures handed to
+// the backend capture only (this, task, partition[, generation]), so they
+// fit the inline callback buffer.
 #ifndef SRC_CORE_SCHEDULER_CORE_H_
 #define SRC_CORE_SCHEDULER_CORE_H_
 
@@ -76,7 +80,7 @@ class SchedulerCore {
   // Live scheduler state (used by tests and by auto-tuning instrumentation).
   Bytes credit() const { return credit_; }
   Bytes credit_cap() const { return config_.credit_bytes; }
-  size_t queue_length() const { return queued_.live(); }
+  size_t queue_length() const { return queued_; }
   uint64_t subtasks_started() const { return subtasks_started_; }
   uint64_t tasks_finished() const { return tasks_finished_; }
   const SchedulerConfig& config() const { return config_; }
@@ -97,7 +101,7 @@ class SchedulerCore {
  private:
   // Per-partition recovery state (allocated only when retry is enabled).
   struct Watch {
-    SubTaskKey key;           // original priority key, reused on requeue
+    uint64_t seq = 0;         // original arrival_seq, reused on requeue
     int attempts = 0;         // 0-based attempt index of the running attempt
     uint64_t generation = 0;  // stale-completion filter; 0 = not under watch
     EventHandle timeout;
@@ -131,20 +135,25 @@ class SchedulerCore {
     }
   };
 
-  // Ready queue entry: the subtask plus how many attempts have already timed
-  // out (0 for first admissions; requeued retries carry their attempt count).
-  struct QueuedSubTask {
-    SubTaskKey key;
-    SubCommTask subtask;
+  // Ready queue entry: partitions [next, end) of one task, made ready at the
+  // same moment, whose arrival_seqs run consecutively from `seq`. Only
+  // `next` can head the queue, so the attempt count and the credit stamp
+  // describe it. A requeued retry is a run of one.
+  struct QueuedRun {
+    CommTaskId task = kInvalidCommTask;
+    int next = 0;
+    int end = 0;
+    uint64_t seq = 0;  // arrival_seq of partition `next`
+    // Attempts of `next` that already timed out (0 for first admissions).
     int attempts = 0;
-    // When this entry became schedulable (valid only when tracing with a
-    // Simulator); admit time minus this is the queue-wait span.
+    // When the run became schedulable (valid only with a Simulator); admit
+    // time minus this is the queue-wait span.
     SimTime ready_at;
-    // When this entry, at the head of the queue, first blocked on credit
-    // (valid only with a Simulator when credit_waiting is set). Splits the
-    // wait span into queue-wait (behind higher-priority work) and
-    // credit-wait (Algorithm 1 line 16 starvation) — the boundary the
-    // critical-path analyzer attributes separately.
+    // When `next`, at the head of the queue, first blocked on credit (valid
+    // only with a Simulator when credit_waiting is set). Splits the wait
+    // span into queue-wait (behind higher-priority work) and credit-wait
+    // (Algorithm 1 line 16 starvation) — the boundary the critical-path
+    // analyzer attributes separately.
     SimTime credit_wait_since;
     bool credit_waiting = false;
   };
@@ -158,18 +167,23 @@ class SchedulerCore {
   TaskState& LiveTask(CommTaskId id);
   SubCommTask MakeSubTask(const TaskState& state, CommTaskId id, int partition) const;
 
-  // Records admit-time metrics/trace/flow for one admitted entry; mutates
-  // entry.subtask.flow. `queue_depth_before` is the queue size at pop time.
-  void RecordAdmit(QueuedSubTask& entry, Bytes charged, size_t queue_depth_before);
+  // Records admit-time metrics/trace/flow for `st`, the head partition of
+  // `run`; mutates st.flow. `queue_depth_before` is the queue size at pop
+  // time.
+  void RecordAdmit(SubCommTask& st, const QueuedRun& run, const SubTaskKey& key, Bytes charged,
+                   size_t queue_depth_before);
 
-  SubTaskKey KeyFor(const SubCommTask& subtask);
-  void PushReady(QueuedSubTask entry);
-  // queued_ slot of the queue head; the queue must not be empty.
-  uint32_t HeadSlot() const;
-  void EnqueueReady(TaskState& state, CommTaskId id, int partition);
+  SubTaskKey KeyOf(const TaskState& state, uint64_t seq) const;
+  // Marks partitions [begin, end) ready and queues them as one run.
+  void EnqueueRun(TaskState& state, CommTaskId id, int begin, int end);
+  // Queues partitions [begin, end) of task `id`, whose arrival_seqs start at
+  // `seq`, as one run.
+  void PushRun(const TaskState& state, CommTaskId id, int begin, int end, uint64_t seq,
+               int attempts);
+  // Rank of the queue head; the queue must not be empty.
+  size_t HeadRank() const;
   void TrySchedule();
-  void StartAttempt(const SubCommTask& subtask, const SubTaskKey& key, Bytes charged,
-                    int attempts);
+  void StartAttempt(const SubCommTask& subtask, uint64_t seq, Bytes charged, int attempts);
   void OnAttemptFinish(CommTaskId task, int partition, uint64_t generation);
   void OnAttemptTimeout(CommTaskId task, int partition, uint64_t generation);
   void OnSubTaskFinish(CommTaskId task, int partition);
@@ -215,14 +229,16 @@ class SchedulerCore {
   std::deque<TaskState> tasks_;
   CommTaskId first_task_ = 0;
   size_t live_tasks_ = 0;
-  // Ready subtasks. Entries live in a slab; the order is one FIFO of slots
-  // per priority rank (layer, type_rank), kept sorted by arrival_seq, and the
-  // head is the front of the lowest non-empty rank — SubTaskKey order in
-  // O(1) per admit. New entries always append (arrival_seq only grows); only
-  // a requeued retry, which keeps its original key, inserts mid-FIFO.
-  SlotPool<QueuedSubTask> queued_;
-  std::vector<RingQueue<uint32_t>> ranks_;
+  // Ready partitions, as runs: one FIFO per priority rank (layer,
+  // type_rank), kept sorted by arrival_seq, and the head is the next
+  // partition of the front run of the lowest non-empty rank — SubTaskKey
+  // order in O(1) per admit. New runs always append (arrival_seq only
+  // grows); only a requeued retry, which keeps its original seq, inserts
+  // mid-FIFO. The runs of a rank cover disjoint seq ranges and a retried
+  // partition has already left its run, so a retry never splits one.
+  std::vector<RingQueue<QueuedRun>> ranks_;
   std::vector<uint64_t> nonempty_ranks_;  // bitmap over ranks_
+  size_t queued_ = 0;                     // ready partitions, over all runs
   // Admitted subtasks under timeout watch (recovery only).
   size_t inflight_ = 0;
   bool scheduling_ = false;

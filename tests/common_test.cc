@@ -274,8 +274,8 @@ std::vector<T> Drain(RingQueue<T>* q) {
 }
 
 TEST(RingQueueTest, InsertMidFifoKeepsOrder) {
-  // SchedulerCore::PushReady slots a requeued retry back among later
-  // arrivals this way.
+  // SchedulerCore::PushRun slots a requeued retry back among later runs
+  // this way.
   RingQueue<int> q;
   for (int v : {10, 20, 40, 50}) {
     q.push_back(v);
