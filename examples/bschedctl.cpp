@@ -29,12 +29,12 @@ constexpr char kUsage[] = R"(usage: bschedctl [flags]
   --mode       baseline|bytescheduler|p3                  (default bytescheduler)
   --machines   worker machines, 8 GPUs each               (default 4)
   --gbps       network bandwidth in Gbps                  (default 100)
-  --partition-kb / --credit-kb   scheduler knobs (default: auto heuristic)
+  --partition-kb / --credit-kb   scheduler knobs, positive (default: auto heuristic)
   --async      asynchronous PS training
   --iters      measured iterations                        (default 5)
   --trace      path to write a Chrome trace JSON
-Invalid values (non-positive --machines, --gbps, --iters or --credit-kb)
-exit with status 2.
+Invalid values (non-positive --machines, --gbps, --iters, --partition-kb or
+--credit-kb) exit with status 2.
 )";
 
 // Exit status for a well-formed command line with an invalid value.
@@ -96,6 +96,9 @@ int main(int argc, char** argv) {
   }
   if (iters <= 0) {
     return Reject("--iters must be positive");
+  }
+  if (flags.Has("partition-kb") && flags.GetInt("partition-kb", 0) <= 0) {
+    return Reject("--partition-kb must be positive");
   }
   if (flags.Has("credit-kb") && flags.GetInt("credit-kb", 0) <= 0) {
     return Reject("--credit-kb must be positive");

@@ -46,14 +46,15 @@ int main(int argc, char** argv) {
 
   const Flags flags(argc, argv);
   SweepRunner::SetDefaultJobs(static_cast<int>(flags.GetInt("jobs", 0)));
+  // --chaos[=seed] and --volatility[=seed]: a bare flag reads as seed 1.
+  const auto seed_flag = [&flags](const char* name) {
+    return flags.GetString(name, "true") == "true" ? uint64_t{1}
+                                                   : static_cast<uint64_t>(flags.GetInt(name, 1));
+  };
   const bool chaos = flags.Has("chaos");
-  const uint64_t chaos_seed =
-      flags.GetBool("chaos", false) ? 1 : static_cast<uint64_t>(flags.GetInt("chaos", 1));
+  const uint64_t chaos_seed = seed_flag("chaos");
   const bool volatility = flags.Has("volatility");
-  const uint64_t volatility_seed =
-      flags.GetBool("volatility", false)
-          ? 1
-          : static_cast<uint64_t>(flags.GetInt("volatility", 1));
+  const uint64_t volatility_seed = seed_flag("volatility");
   const ObsFlags obs = ParseObsFlags(flags);
   if (!obs.error.empty()) {
     std::fprintf(stderr, "quickstart: %s\n", obs.error.c_str());

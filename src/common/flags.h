@@ -2,7 +2,8 @@
 // Accepts --key=value and --key value; bare --key is a boolean true.
 // GetInt/GetDouble take the whole value or nothing: a malformed number
 // ("5x", "abc", an empty or out-of-range value) prints the flag and exits
-// with status 2 rather than running with a prefix of it. ParseInt is the
+// with status 2 rather than running with a prefix of it. GetBool is as
+// strict: true/false, 1/0 or yes/no, anything else exits 2. ParseInt is the
 // same check for callers that report errors themselves.
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_

@@ -241,6 +241,16 @@ TEST(FlagsTest, BoolSpellings) {
   EXPECT_FALSE(flags.GetBool("e", true));
 }
 
+TEST(FlagsTest, BoolMustBeABoolSpelling) {
+  const char* argv[] = {"prog", "--n=no", "--obs=/some/dir", "--on=on", "--empty="};
+  Flags flags(5, argv);
+  EXPECT_FALSE(flags.GetBool("n", true));
+  EXPECT_EXIT(flags.GetBool("obs", false), ::testing::ExitedWithCode(2), "--obs: '/some/dir'");
+  EXPECT_EXIT(flags.GetBool("on", false), ::testing::ExitedWithCode(2), "--on: 'on'");
+  EXPECT_EXIT(flags.GetBool("empty", false), ::testing::ExitedWithCode(2), "--empty: ''");
+  EXPECT_EXIT(ParseObsFlags(flags), ::testing::ExitedWithCode(2), "--obs: '/some/dir'");
+}
+
 TEST(ObsFlagsTest, DisabledByDefault) {
   const char* argv[] = {"prog", "--jobs=4"};
   const ObsFlags obs = ParseObsFlags(Flags(2, argv));
