@@ -35,7 +35,7 @@
 //        --skip-sweep      measure the event loop only (quick smoke mode)
 //        --max-regression F       allowed churn slowdown vs baseline
 //                                 (default 0.10 — the >10% regression gate)
-//        --max-allocs-per-event F  allocation-guard ceiling (default 0.06)
+//        --max-allocs-per-event F  allocation-guard ceiling (default 0.05)
 //        --max-idle-regression F  allowed link-churn slowdown of the
 //                                 enabled-but-idle RateModel path vs the
 //                                 static link path (default 0.03 — the
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   const bool skip_sweep = flags.GetBool("skip-sweep", false);
   const double max_regression = flags.GetDouble("max-regression", 0.10);
   const double max_idle_regression = flags.GetDouble("max-idle-regression", 0.03);
-  const double max_allocs_per_event = flags.GetDouble("max-allocs-per-event", 0.06);
+  const double max_allocs_per_event = flags.GetDouble("max-allocs-per-event", 0.05);
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
 
   // Read the gate baseline before this run overwrites the file.
